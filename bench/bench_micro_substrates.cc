@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot substrate paths that the
 // paper's end-to-end numbers rest on: hash join (sequential and
 // morsel-parallel across thread counts), Eq.-1 score evaluation,
-// query/tuple embedding, k-means, and one PPO policy step.
+// query/tuple embedding, k-means, one policy step, and one PPO minibatch
+// update on its thread pool.
 //
 // Pass `--json out.json` (or set ASQP_BENCH_JSON) to also emit the
 // measurements as machine-readable records; CI's bench-smoke job diffs
@@ -14,8 +15,10 @@
 #include "embed/embedder.h"
 #include "metric/score.h"
 #include "nn/mlp.h"
+#include "rl/trainer.h"
 #include "sql/binder.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 using namespace asqp;
 
@@ -300,7 +303,10 @@ void BM_KMeans(benchmark::State& state) {
 BENCHMARK(BM_KMeans);
 
 void BM_PolicyForwardBackward(benchmark::State& state) {
-  // One PPO-sized actor step: state dim ~ 560, 2x128 hidden, 512 actions.
+  // One actor forward, backward and Adam step for a single sample through
+  // the one-sample wrappers: state dim 560, 2x128 hidden, 512 actions
+  // (the end-to-end benchmark's actor is 941 -> 128 -> 128 -> 819; see
+  // BM_PpoMinibatchUpdate).
   nn::Mlp actor({560, 128, 128, 512}, nn::Activation::kTanh, 1);
   nn::Adam adam(&actor, {});
   util::Rng rng(5);
@@ -316,6 +322,55 @@ void BM_PolicyForwardBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PolicyForwardBackward);
+
+void BM_PpoMinibatchUpdate(benchmark::State& state) {
+  // One PPO minibatch step as rl::Train runs it, at the dimensions of
+  // perfbench's pipeline workload: a 941-dim state, 819 actions, 128-wide
+  // actor and critic, 64 samples; actor and critic forward and backward
+  // plus both Adam steps, on a pool of Arg(0) threads.
+  constexpr size_t kStateDim = 941;
+  constexpr size_t kActions = 819;
+  constexpr size_t kSamples = 64;
+  const rl::TrainerConfig config;
+  rl::Policy policy =
+      rl::Policy::Create(kStateDim, kActions, config.hidden_dim,
+                         /*with_critic=*/true, /*seed=*/1);
+  nn::Adam::Options options;
+  options.lr = config.learning_rate;
+  options.max_grad_norm = config.max_grad_norm;
+  nn::Adam actor_opt(policy.actor.get(), options);
+  nn::Adam critic_opt(policy.critic.get(), options);
+
+  // Transitions sampled from the policy itself, so the ratio, clip and KL
+  // terms are live; about one action in ten is masked out.
+  util::Rng rng(5);
+  rl::RolloutBuffer buffer;
+  std::vector<size_t> indices;
+  for (size_t s = 0; s < kSamples; ++s) {
+    std::vector<float> features(kStateDim);
+    for (float& v : features) v = rng.UniformDouble() < 0.5 ? 0.0f : 1.0f;
+    std::vector<uint8_t> mask(kActions);
+    for (uint8_t& m : mask) m = rng.UniformDouble() < 0.9 ? 1 : 0;
+    const rl::Policy::ActResult act = policy.Act(features, mask, &rng);
+    buffer.states.push_back(std::move(features));
+    buffer.masks.push_back(std::move(mask));
+    buffer.actions.push_back(act.action);
+    buffer.log_probs.push_back(act.log_prob);
+    buffer.old_probs.push_back(act.probs);
+    buffer.advantages.push_back(static_cast<float>(rng.Normal()));
+    buffer.returns.push_back(static_cast<float>(rng.Normal()));
+    indices.push_back(s);
+  }
+  util::ThreadPool pool(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    const rl::UpdateStats stats = rl::UpdateMinibatch(
+        config, &policy, &actor_opt, &critic_opt, buffer, indices, pool);
+    benchmark::DoNotOptimize(stats);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kSamples));
+}
+BENCHMARK(BM_PpoMinibatchUpdate)->Arg(1)->Arg(4)->UseRealTime();
 
 /// Console reporter that additionally captures every per-iteration run as
 /// a BenchRecord (aggregates and errored runs are skipped).

@@ -3,12 +3,171 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "util/fault_injector.h"
+#include "util/thread_pool.h"
+
+// The trained policy is pinned bit for bit (tests/rl_test.cc), and every
+// kernel below relies on the compiler evaluating each multiply and add as
+// written: -ffast-math would reassociate the ordered sums, and contracting
+// a*b+c into one FMA rounding would change every accumulation step. Either
+// would silently change which tuples the agent picks. src/CMakeLists.txt
+// therefore builds src/nn and src/rl with -ffp-contract=off (a stray
+// -march=native or -mfma cannot fuse anything), and fast-math is refused
+// outright.
+#ifdef __FAST_MATH__
+#error "src/nn must not be built with -ffast-math: it changes the trained weights"
+#endif
 
 namespace asqp {
 namespace nn {
+
+namespace {
+
+// Kernel tile shapes. Every output element is produced by exactly one tile,
+// in the same order whatever the shape, so these only affect speed.
+constexpr size_t kOutTile = 8;     // outputs per forward tile
+constexpr size_t kSampleTile = 8;  // samples per forward tile (2 vectors)
+constexpr size_t kWidthTile = 32;  // elements per gradient tile (8 vectors)
+constexpr size_t kAdamChunk = 1 << 12;
+// Below this many multiply-adds a kernel stays on the calling thread.
+constexpr size_t kMinParallelWork = 1 << 15;
+
+// Four float lanes (the GCC/Clang vector extension). Lane arithmetic is
+// plain IEEE single precision, the same operations as the scalar code. The
+// tiles spell the vectors out because GCC's -O3 vectorizer turned the
+// equivalent plain loops into code about 3x slower than at -O2.
+typedef float Float4 __attribute__((vector_size(16)));
+
+template <typename V>
+constexpr size_t kLanes = sizeof(V) / sizeof(float);
+
+inline void Broadcast(float s, float* v) { *v = s; }
+inline void Broadcast(float s, Float4* v) { *v = Float4{s, s, s, s}; }
+inline void Load(const float* p, float* v) { *v = *p; }
+inline void Load(const float* p, Float4* v) { std::memcpy(v, p, sizeof(*v)); }
+inline void Store(float v, float* p) { *p = v; }
+inline void Store(const Float4& v, float* p) { std::memcpy(p, &v, sizeof(v)); }
+
+/// Runs fn(t) for t in [0, n) on `pool`, or inline when there is none.
+/// Named like ThreadPool::ParallelFor so asqp-lint checks the lambdas
+/// passed here: each task must write only its own output slice.
+template <typename Fn>
+void ParallelFor(util::ThreadPool* pool, size_t n, const Fn& fn) {
+  if (pool == nullptr || n <= 1) {
+    for (size_t t = 0; t < n; ++t) fn(t);
+    return;
+  }
+  pool->ParallelFor(n, fn);
+}
+
+/// How many tasks to split `units` independent work units, `work`
+/// multiply-adds in all, into: one without a pool or for little work,
+/// else a few per participating thread for load balance.
+size_t NumTasks(const util::ThreadPool* pool, size_t units, size_t work) {
+  if (pool == nullptr || work < kMinParallelWork || units == 0) return 1;
+  return std::min(units, 8 * (pool->num_threads() + 1));
+}
+
+/// Forward tile: y = b[r] + w[r][i] * x[i] summed over i ascending, for
+/// kOut outputs and kVecs vectors of V sample lanes. Input i of lane c is
+/// x[i * x_step + c]; sample rows of y are y_stride apart.
+template <size_t kOut, size_t kVecs, typename V>
+void ForwardTile(const float* w, const float* b, size_t in, const float* x,
+                 size_t x_step, float* y, size_t y_stride) {
+  constexpr size_t kL = kLanes<V>;
+  V acc[kOut][kVecs];
+  for (size_t r = 0; r < kOut; ++r) {
+    for (size_t v = 0; v < kVecs; ++v) Broadcast(b[r], &acc[r][v]);
+  }
+  for (size_t i = 0; i < in; ++i) {
+    V xv[kVecs];
+    for (size_t v = 0; v < kVecs; ++v) Load(x + i * x_step + v * kL, &xv[v]);
+    for (size_t r = 0; r < kOut; ++r) {
+      const float wv = w[r * in + i];
+      for (size_t v = 0; v < kVecs; ++v) acc[r][v] += wv * xv[v];
+    }
+  }
+  for (size_t r = 0; r < kOut; ++r) {
+    float lanes[kVecs * kL];
+    for (size_t v = 0; v < kVecs; ++v) Store(acc[r][v], lanes + v * kL);
+    for (size_t c = 0; c < kVecs * kL; ++c) y[c * y_stride + r] = lanes[c];
+  }
+}
+
+/// Forward of outputs [o, o + kOut) for sample group g: the kSampleTile
+/// samples of panel g of `xt`, or, for g == panels, the leftover samples
+/// of the row-major input `x`.
+template <size_t kOut>
+void ForwardGroup(const Linear& layer, size_t o, size_t g, const float* x,
+                  const float* xt, size_t panels, size_t batch, float* y) {
+  const float* w = layer.w.data() + o * layer.in;
+  const float* b = layer.b.data() + o;
+  if (g < panels) {
+    ForwardTile<kOut, kSampleTile / kLanes<Float4>, Float4>(
+        w, b, layer.in, xt + g * layer.in * kSampleTile, kSampleTile,
+        y + g * kSampleTile * layer.out + o, layer.out);
+    return;
+  }
+  for (size_t s = panels * kSampleTile; s < batch; ++s) {
+    ForwardTile<kOut, 1, float>(w, b, layer.in, x + s * layer.in, 1,
+                                y + s * layer.out + o, layer.out);
+  }
+}
+
+/// The nonzero terms of one ordered sum: gain k multiplies source row
+/// rows[k], and the terms are added in k order.
+struct Terms {
+  std::vector<size_t> rows;
+  std::vector<float> gains;
+
+  void Clear() {
+    rows.clear();
+    gains.clear();
+  }
+  void Add(size_t row, float gain) {
+    rows.push_back(row);
+    gains.push_back(gain);
+  }
+};
+
+/// dst[j] += gains[k] * src[rows[k] * stride + j] for k ascending, for the
+/// kVecs vectors of V lanes starting at dst.
+template <size_t kVecs, typename V>
+void AxpyTile(const float* src, size_t stride, const Terms& terms,
+              float* dst) {
+  constexpr size_t kL = kLanes<V>;
+  V acc[kVecs];
+  for (size_t v = 0; v < kVecs; ++v) Load(dst + v * kL, &acc[v]);
+  for (size_t k = 0; k < terms.rows.size(); ++k) {
+    const float g = terms.gains[k];
+    const float* row = src + terms.rows[k] * stride;
+    for (size_t v = 0; v < kVecs; ++v) {
+      V term;
+      Load(row + v * kL, &term);
+      acc[v] += g * term;
+    }
+  }
+  for (size_t v = 0; v < kVecs; ++v) Store(acc[v], dst + v * kL);
+}
+
+/// AxpyTile over dst[0, width).
+void AxpyRows(const float* src, size_t stride, size_t width,
+              const Terms& terms, float* dst) {
+  constexpr size_t kL = kLanes<Float4>;
+  size_t j = 0;
+  for (; j + kWidthTile <= width; j += kWidthTile) {
+    AxpyTile<kWidthTile / kL, Float4>(src + j, stride, terms, dst + j);
+  }
+  for (; j + kL <= width; j += kL) {
+    AxpyTile<1, Float4>(src + j, stride, terms, dst + j);
+  }
+  for (; j < width; ++j) AxpyTile<1, float>(src + j, stride, terms, dst + j);
+}
+
+}  // namespace
 
 Linear::Linear(size_t in_dim, size_t out_dim, util::Rng* rng)
     : in(in_dim), out(out_dim) {
@@ -23,43 +182,77 @@ Linear::Linear(size_t in_dim, size_t out_dim, util::Rng* rng)
   }
 }
 
-void Linear::Forward(const std::vector<float>& x, std::vector<float>* y) const {
-  assert(x.size() == in);
-  y->assign(out, 0.0f);
-  for (size_t o = 0; o < out; ++o) {
-    const float* row = &w[o * in];
-    float sum = b[o];
-    for (size_t i = 0; i < in; ++i) sum += row[i] * x[i];
-    (*y)[o] = sum;
-  }
-}
-
-void Linear::Backward(const std::vector<float>& x, const std::vector<float>& dy,
-                      std::vector<float>* dx) {
-  assert(x.size() == in && dy.size() == out);
-  dx->assign(in, 0.0f);
-  for (size_t o = 0; o < out; ++o) {
-    const float g = dy[o];
-    if (g == 0.0f) continue;
-    float* drow = &dw[o * in];
-    const float* row = &w[o * in];
-    db[o] += g;
-    for (size_t i = 0; i < in; ++i) {
-      drow[i] += g * x[i];
-      (*dx)[i] += g * row[i];
+void Linear::Forward(const float* x, size_t batch, float* y,
+                     util::ThreadPool* pool) const {
+  if (batch == 0) return;
+  // Whole sample tiles read their inputs from panels laid out
+  // [tile][in][kSampleTile], so the lanes of one input are contiguous;
+  // leftover samples read the row-major input as is.
+  const size_t panels = batch / kSampleTile;
+  std::vector<float> xt(panels * in * kSampleTile);
+  for (size_t p = 0; p < panels; ++p) {
+    float* panel = xt.data() + p * in * kSampleTile;
+    for (size_t c = 0; c < kSampleTile; ++c) {
+      const float* row = x + (p * kSampleTile + c) * in;
+      for (size_t i = 0; i < in; ++i) panel[i * kSampleTile + c] = row[i];
     }
   }
+  // A task owns one sample group (a panel, or the leftover samples) for
+  // one range of output tiles.
+  const size_t groups = panels + (batch % kSampleTile != 0 ? 1 : 0);
+  const size_t tiles = (out + kOutTile - 1) / kOutTile;
+  const size_t target = NumTasks(pool, groups * tiles, batch * in * out);
+  const size_t chunks = std::min(tiles, (target + groups - 1) / groups);
+  ParallelFor(pool, groups * chunks, [&](size_t t) {
+    const size_t g = t / chunks;
+    const size_t chunk = t % chunks;
+    const size_t end = std::min(out, (chunk + 1) * tiles / chunks * kOutTile);
+    size_t o = chunk * tiles / chunks * kOutTile;
+    for (; o + kOutTile <= end; o += kOutTile) {
+      ForwardGroup<kOutTile>(*this, o, g, x, xt.data(), panels, batch, y);
+    }
+    for (; o < end; ++o) {
+      ForwardGroup<1>(*this, o, g, x, xt.data(), panels, batch, y);
+    }
+  });
 }
 
-void Linear::BackwardInputOnly(const std::vector<float>& dy,
-                               std::vector<float>* dx) const {
-  dx->assign(in, 0.0f);
-  for (size_t o = 0; o < out; ++o) {
-    const float g = dy[o];
-    if (g == 0.0f) continue;
-    const float* row = &w[o * in];
-    for (size_t i = 0; i < in; ++i) (*dx)[i] += g * row[i];
-  }
+void Linear::AccumulateGrad(const float* x, const float* dy, size_t batch,
+                            util::ThreadPool* pool) {
+  // Tasks own disjoint ranges of output rows of dW and db.
+  const size_t tasks = NumTasks(pool, out, batch * in * out);
+  ParallelFor(pool, tasks, [&](size_t t) {
+    Terms terms;
+    for (size_t o = t * out / tasks; o < (t + 1) * out / tasks; ++o) {
+      terms.Clear();
+      for (size_t s = 0; s < batch; ++s) {
+        const float g = dy[s * out + o];
+        if (g == 0.0f) continue;
+        terms.Add(s, g);
+        db[o] += g;
+      }
+      AxpyRows(x, in, in, terms, dw.data() + o * in);
+    }
+  });
+}
+
+void Linear::InputGrad(const float* dy, size_t batch, float* dx,
+                       util::ThreadPool* pool) const {
+  // Tasks own disjoint ranges of samples.
+  const size_t tasks = NumTasks(pool, batch, batch * in * out);
+  ParallelFor(pool, tasks, [&](size_t t) {
+    Terms terms;
+    for (size_t s = t * batch / tasks; s < (t + 1) * batch / tasks; ++s) {
+      terms.Clear();
+      for (size_t o = 0; o < out; ++o) {
+        const float g = dy[s * out + o];
+        if (g != 0.0f) terms.Add(o, g);
+      }
+      float* dxs = dx + s * in;
+      std::fill(dxs, dxs + in, 0.0f);
+      AxpyRows(w.data(), in, in, terms, dxs);
+    }
+  });
 }
 
 void Linear::ZeroGrad() {
@@ -97,23 +290,68 @@ float ActivateGrad(float pre, float post, Activation a) {
   return 1.0f;
 }
 
+/// grad *= f'(layer l's pre-activation), elementwise over the batch.
+void ScaleByActivationGrad(const Mlp::Cache& cache, size_t l, Activation a,
+                           std::vector<float>* grad) {
+  const std::vector<float>& pre = cache.pre[l];
+  const std::vector<float>& post = cache.post[l + 1];
+  for (size_t k = 0; k < grad->size(); ++k) {
+    (*grad)[k] *= ActivateGrad(pre[k], post[k], a);
+  }
+}
+
 }  // namespace
+
+const std::vector<float>& Mlp::ForwardBatch(const float* x, size_t batch,
+                                            Cache* cache,
+                                            util::ThreadPool* pool) const {
+  cache->batch = batch;
+  cache->pre.resize(layers_.size());
+  cache->post.resize(layers_.size() + 1);
+  cache->post[0].assign(x, x + batch * input_dim());
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    const Linear& layer = layers_[l];
+    std::vector<float>& pre = cache->pre[l];
+    pre.resize(batch * layer.out);
+    layer.Forward(cache->post[l].data(), batch, pre.data(), pool);
+    std::vector<float>& post = cache->post[l + 1];
+    post = pre;
+    if (l + 1 == layers_.size()) break;  // linear output layer
+    // Hidden activation; tasks own disjoint ranges of samples. A tanh
+    // costs about as much as 16 multiply-adds.
+    const size_t width = layer.out;
+    const size_t tasks = NumTasks(pool, batch, batch * width * 16);
+    ParallelFor(pool, tasks, [&](size_t t) {
+      const size_t end = (t + 1) * batch / tasks * width;
+      for (size_t k = t * batch / tasks * width; k < end; ++k) {
+        post[k] = Activate(post[k], activation_);
+      }
+    });
+  }
+  return cache->post.back();
+}
+
+void Mlp::BackwardBatch(const Cache& cache, const float* dout,
+                        util::ThreadPool* pool) {
+  const size_t batch = cache.batch;
+  std::vector<float> grad(dout, dout + batch * output_dim());
+  std::vector<float> dx;
+  for (size_t l = layers_.size(); l-- > 0;) {
+    if (l + 1 < layers_.size()) {
+      ScaleByActivationGrad(cache, l, activation_, &grad);
+    }
+    layers_[l].AccumulateGrad(cache.post[l].data(), grad.data(), batch, pool);
+    if (l == 0) break;  // the network input's gradient is not needed
+    dx.resize(batch * layers_[l].in);
+    layers_[l].InputGrad(grad.data(), batch, dx.data(), pool);
+    grad.swap(dx);
+  }
+}
 
 std::vector<float> Mlp::Forward(const std::vector<float>& x,
                                 Cache* cache) const {
-  cache->pre.resize(layers_.size());
-  cache->post.resize(layers_.size() + 1);
-  cache->post[0] = x;
-  std::vector<float> cur = x;
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    layers_[l].Forward(cur, &cache->pre[l]);
-    cur = cache->pre[l];
-    if (l + 1 < layers_.size()) {  // hidden layer: apply activation
-      for (float& v : cur) v = Activate(v, activation_);
-    }
-    cache->post[l + 1] = cur;
-  }
-  return cur;
+  assert(x.size() == input_dim());
+  return ForwardBatch(x.data(), 1, cache, nullptr);
 }
 
 std::vector<float> Mlp::Forward(const std::vector<float>& x) const {
@@ -122,34 +360,21 @@ std::vector<float> Mlp::Forward(const std::vector<float>& x) const {
 }
 
 void Mlp::Backward(const Cache& cache, const std::vector<float>& dout) {
-  std::vector<float> grad = dout;
-  for (size_t l = layers_.size(); l-- > 0;) {
-    if (l + 1 < layers_.size()) {
-      // Undo the activation applied after layer l.
-      for (size_t i = 0; i < grad.size(); ++i) {
-        grad[i] *= ActivateGrad(cache.pre[l][i], cache.post[l + 1][i],
-                                activation_);
-      }
-    }
-    std::vector<float> dx;
-    layers_[l].Backward(cache.post[l], grad, &dx);
-    grad = std::move(dx);
-  }
+  assert(dout.size() == cache.batch * output_dim());
+  BackwardBatch(cache, dout.data(), nullptr);
 }
 
 std::vector<float> Mlp::BackwardInput(const Cache& cache,
                                       const std::vector<float>& dout) const {
   std::vector<float> grad = dout;
+  std::vector<float> dx;
   for (size_t l = layers_.size(); l-- > 0;) {
     if (l + 1 < layers_.size()) {
-      for (size_t i = 0; i < grad.size(); ++i) {
-        grad[i] *= ActivateGrad(cache.pre[l][i], cache.post[l + 1][i],
-                                activation_);
-      }
+      ScaleByActivationGrad(cache, l, activation_, &grad);
     }
-    std::vector<float> dx;
-    layers_[l].BackwardInputOnly(grad, &dx);
-    grad = std::move(dx);
+    dx.resize(cache.batch * layers_[l].in);
+    layers_[l].InputGrad(grad.data(), cache.batch, dx.data(), nullptr);
+    grad.swap(dx);
   }
   return grad;
 }
@@ -230,7 +455,7 @@ Adam::Adam(Mlp* net, Options options) : net_(net), options_(options) {
   v_.assign(n, 0.0f);
 }
 
-void Adam::Step() {
+void Adam::Step(util::ThreadPool* pool) {
   ++t_;
   std::vector<float*> params = net_->Parameters();
   std::vector<float*> grads = net_->Gradients();
@@ -240,6 +465,7 @@ void Adam::Step() {
     grads[0][0] = std::numeric_limits<float>::quiet_NaN();
   }
 
+  // The clip norm is one ordered sum, so it stays serial.
   double norm_sq = 0.0;
   for (size_t blk = 0; blk < grads.size(); ++blk) {
     for (size_t i = 0; i < lengths[blk]; ++i) {
@@ -256,23 +482,42 @@ void Adam::Step() {
 
   const double bc1 = 1.0 - std::pow(options_.beta1, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(options_.beta2, static_cast<double>(t_));
+  // The element-wise update, in chunks that own disjoint ranges of
+  // parameters, gradients and moments.
+  struct Chunk {
+    size_t blk;
+    size_t begin;
+    size_t end;
+    size_t block_offset;  // of the block's first element in m_ / v_
+  };
+  std::vector<Chunk> chunks;
   size_t offset = 0;
   for (size_t blk = 0; blk < grads.size(); ++blk) {
-    for (size_t i = 0; i < lengths[blk]; ++i) {
-      const float g = grads[blk][i] * scale;
-      float& m = m_[offset + i];
-      float& v = v_[offset + i];
+    for (size_t begin = 0; begin < lengths[blk]; begin += kAdamChunk) {
+      chunks.push_back(
+          {blk, begin, std::min(lengths[blk], begin + kAdamChunk), offset});
+    }
+    offset += lengths[blk];
+  }
+  if (offset < kMinParallelWork) pool = nullptr;
+  ParallelFor(pool, chunks.size(), [&](size_t c) {
+    const Chunk& chunk = chunks[c];
+    float* param = params[chunk.blk];
+    float* grad = grads[chunk.blk];
+    for (size_t i = chunk.begin; i < chunk.end; ++i) {
+      const float g = grad[i] * scale;
+      float& m = m_[chunk.block_offset + i];
+      float& v = v_[chunk.block_offset + i];
       m = static_cast<float>(options_.beta1 * m + (1.0 - options_.beta1) * g);
       v = static_cast<float>(options_.beta2 * v +
                              (1.0 - options_.beta2) * g * g);
       const double mhat = m / bc1;
       const double vhat = v / bc2;
-      params[blk][i] -= static_cast<float>(options_.lr * mhat /
-                                           (std::sqrt(vhat) + options_.eps));
-      grads[blk][i] = 0.0f;
+      param[i] -= static_cast<float>(options_.lr * mhat /
+                                     (std::sqrt(vhat) + options_.eps));
+      grad[i] = 0.0f;
     }
-    offset += lengths[blk];
-  }
+  });
 }
 
 std::vector<float> MaskedSoftmax(const std::vector<float>& logits,

@@ -13,9 +13,18 @@
 #include "util/random.h"
 
 namespace asqp {
+namespace util {
+class ThreadPool;
+}  // namespace util
 namespace nn {
 
 /// \brief One dense layer y = W x + b with gradient accumulators.
+///
+/// Every kernel takes a batch of samples stored row-major ([batch][dim])
+/// and may spread its work over `pool` (null runs on the calling thread).
+/// Each output element is accumulated in the order of the plain
+/// one-sample loop, so results are bit-identical for every batch size and
+/// pool size (DESIGN.md §4f).
 struct Linear {
   size_t in = 0;
   size_t out = 0;
@@ -26,15 +35,18 @@ struct Linear {
 
   Linear(size_t in_dim, size_t out_dim, util::Rng* rng);
 
-  void Forward(const std::vector<float>& x, std::vector<float>* y) const;
+  /// y[s] = W x[s] + b; x is [batch][in], y is [batch][out].
+  void Forward(const float* x, size_t batch, float* y,
+               util::ThreadPool* pool) const;
 
-  /// Given dL/dy, accumulate dW/db and compute dL/dx.
-  void Backward(const std::vector<float>& x, const std::vector<float>& dy,
-                std::vector<float>* dx);
+  /// dW += dy[s] x[s]^T and db += dy[s] for s in batch order; entries of
+  /// dy that are exactly zero are skipped.
+  void AccumulateGrad(const float* x, const float* dy, size_t batch,
+                      util::ThreadPool* pool);
 
-  /// dL/dx only (dx = W^T dy); parameter gradients untouched.
-  void BackwardInputOnly(const std::vector<float>& dy,
-                         std::vector<float>* dx) const;
+  /// dx[s] = W^T dy[s]; dy is [batch][out], dx is [batch][in].
+  void InputGrad(const float* dy, size_t batch, float* dx,
+                 util::ThreadPool* pool) const;
 
   void ZeroGrad();
 };
@@ -61,23 +73,34 @@ class Mlp {
   }
   Activation activation() const { return activation_; }
 
-  /// Forward pass; `cache` stores activations needed by Backward.
+  /// Activations of a forward pass, needed by the backward pass. Each
+  /// entry holds `batch` rows of its layer's width.
   struct Cache {
+    size_t batch = 0;
     std::vector<std::vector<float>> pre;   // pre-activation per layer
     std::vector<std::vector<float>> post;  // post-activation (post[0] = input)
   };
+
+  /// Forward `batch` inputs (row-major [batch][input_dim]). Returns the
+  /// outputs ([batch][output_dim]), which live in `cache`.
+  const std::vector<float>& ForwardBatch(const float* x, size_t batch,
+                                         Cache* cache,
+                                         util::ThreadPool* pool) const;
+
+  /// Backprop dL/d(output) ([batch][output_dim]) through the cached
+  /// forward pass, accumulating parameter gradients over the samples in
+  /// batch order. The gradient w.r.t. the network input is not computed.
+  void BackwardBatch(const Cache& cache, const float* dout,
+                     util::ThreadPool* pool);
+
+  /// One-sample forms of the above (a batch of one on the calling thread).
   std::vector<float> Forward(const std::vector<float>& x, Cache* cache) const;
-
-  /// Inference-only forward (no cache).
   std::vector<float> Forward(const std::vector<float>& x) const;
-
-  /// Backprop dL/d(output) through the cached forward pass, accumulating
-  /// parameter gradients.
   void Backward(const Cache& cache, const std::vector<float>& dout);
 
-  /// dL/d(input) for a cached forward pass, *without* accumulating
-  /// parameter gradients (used when a downstream network's loss must flow
-  /// into an upstream network, e.g. VAE decoder -> encoder).
+  /// dL/d(input) for a cached one-sample forward pass, *without*
+  /// accumulating parameter gradients (used when a downstream network's
+  /// loss must flow into an upstream network, e.g. VAE decoder -> encoder).
   std::vector<float> BackwardInput(const Cache& cache,
                                    const std::vector<float>& dout) const;
 
@@ -123,7 +146,9 @@ class Adam {
   double lr() const { return options_.lr; }
 
   /// Apply one update from the net's accumulated gradients, then zero them.
-  void Step();
+  /// The element-wise update may run on `pool`; the gradient-norm clip is
+  /// reduced serially, so the result does not depend on the pool.
+  void Step(util::ThreadPool* pool = nullptr);
 
   /// First/second-moment accumulators plus the step counter — everything
   /// beyond Options needed to resume optimization deterministically.

@@ -75,38 +75,56 @@ double CollectEpisode(Env* env, const Policy& policy, size_t episode_index,
   return env->FullScore();
 }
 
-/// One gradient step over a minibatch of transitions.
-struct UpdateStats {
-  double policy_loss = 0.0;
-  double value_loss = 0.0;
-  double entropy = 0.0;
-};
+}  // namespace
 
+/// The minibatch moves through the actor and critic as one matrix, with
+/// the kernels spread over `pool`. Each sample's terms, and the order of
+/// every sum, are those of taking the samples one at a time in minibatch
+/// order, so the weights do not depend on the pool size (DESIGN.md §4f).
 UpdateStats UpdateMinibatch(const TrainerConfig& config, Policy* policy,
                             nn::Adam* actor_opt, nn::Adam* critic_opt,
                             const RolloutBuffer& buffer,
-                            const std::vector<size_t>& indices) {
+                            const std::vector<size_t>& indices,
+                            util::ThreadPool& pool) {
   UpdateStats stats;
   const bool use_clip = config.algorithm == Algorithm::kPpo;
   const bool use_critic = config.algorithm != Algorithm::kReinforce;
-  const float inv_n = 1.0f / static_cast<float>(indices.size());
+  const size_t n = indices.size();
+  const float inv_n = 1.0f / static_cast<float>(n);
+  const size_t state_dim = policy->actor->input_dim();
+  const size_t num_actions = policy->actor->output_dim();
 
-  for (size_t idx : indices) {
-    const std::vector<float>& state = buffer.states[idx];
-    const std::vector<uint8_t>& mask = buffer.masks[idx];
+  std::vector<float> states(n * state_dim);
+  for (size_t s = 0; s < n; ++s) {
+    const std::vector<float>& state = buffer.states[indices[s]];
+    std::copy(state.begin(), state.end(), states.begin() + s * state_dim);
+  }
+
+  // Actor forward.
+  nn::Mlp::Cache actor_cache;
+  const std::vector<float>& logits =
+      policy->actor->ForwardBatch(states.data(), n, &actor_cache, &pool);
+
+  // Per-sample loss terms and dL/dlogits; each task writes only its own
+  // sample's slots.
+  std::vector<float> dlogits(n * num_actions, 0.0f);
+  std::vector<float> policy_terms(n);
+  std::vector<float> entropy_terms(n);
+  pool.ParallelFor(n, [&](size_t s) {
+    const size_t idx = indices[s];
+    const auto& mask = buffer.masks[idx];
     const size_t action = buffer.actions[idx];
     const float advantage = buffer.advantages[idx];
     const float old_log_prob = buffer.log_probs[idx];
 
-    // Actor forward.
-    nn::Mlp::Cache actor_cache;
-    const std::vector<float> logits =
-        policy->actor->Forward(state, &actor_cache);
-    const std::vector<float> probs = nn::MaskedSoftmax(logits, mask);
+    const std::vector<float> sample_logits(
+        logits.begin() + s * num_actions,
+        logits.begin() + (s + 1) * num_actions);
+    const std::vector<float> probs = nn::MaskedSoftmax(sample_logits, mask);
     const float p_a = std::max(probs[action], 1e-12f);
     const float log_prob = std::log(p_a);
     const float entropy = nn::Entropy(probs);
-    stats.entropy += entropy * inv_n;
+    entropy_terms[s] = entropy * inv_n;
 
     // Policy-gradient coefficient g: dL/dlogp(a).
     float g = 0.0f;
@@ -124,17 +142,17 @@ UpdateStats UpdateMinibatch(const TrainerConfig& config, Policy* policy,
       } else {
         g = 0.0f;
       }
-      stats.policy_loss += -std::min(unclipped, clipped) * inv_n;
+      policy_terms[s] = -std::min(unclipped, clipped) * inv_n;
     } else {
       g = -advantage;  // vanilla policy gradient
-      stats.policy_loss += -log_prob * advantage * inv_n;
+      policy_terms[s] = -log_prob * advantage * inv_n;
     }
 
     // dL/dlogit_i = g * (delta_ia - p_i)
     //             - entropy_coef * dH/dlogit_i
     //             + kl_coef * (p_i - p_old_i)        (PPO only).
-    std::vector<float> dlogits(logits.size(), 0.0f);
-    for (size_t i = 0; i < dlogits.size(); ++i) {
+    float* dlogit = dlogits.data() + s * num_actions;
+    for (size_t i = 0; i < num_actions; ++i) {
       if (!mask[i]) continue;
       const float p_i = probs[i];
       float d = g * ((i == action ? 1.0f : 0.0f) - p_i);
@@ -147,23 +165,35 @@ UpdateStats UpdateMinibatch(const TrainerConfig& config, Policy* policy,
         d += static_cast<float>(config.kl_coef) *
              (p_i - buffer.old_probs[idx][i]);
       }
-      dlogits[i] = d * inv_n;
+      dlogit[i] = d * inv_n;
     }
-    policy->actor->Backward(actor_cache, dlogits);
-
-    // Critic update toward the empirical return.
-    if (use_critic) {
-      nn::Mlp::Cache critic_cache;
-      const float v = policy->critic->Forward(state, &critic_cache)[0];
-      const float err = v - buffer.returns[idx];
-      stats.value_loss += 0.5f * err * err * inv_n;
-      policy->critic->Backward(critic_cache, {err * inv_n});
-    }
+  });
+  // Loss terms are summed serially, in sample order.
+  for (size_t s = 0; s < n; ++s) {
+    stats.entropy += entropy_terms[s];
+    stats.policy_loss += policy_terms[s];
   }
-  actor_opt->Step();
-  if (use_critic && critic_opt != nullptr) critic_opt->Step();
+  policy->actor->BackwardBatch(actor_cache, dlogits.data(), &pool);
+
+  // Critic update toward the empirical return.
+  if (use_critic) {
+    nn::Mlp::Cache critic_cache;
+    const std::vector<float>& values =
+        policy->critic->ForwardBatch(states.data(), n, &critic_cache, &pool);
+    std::vector<float> dvalues(n);
+    for (size_t s = 0; s < n; ++s) {
+      const float err = values[s] - buffer.returns[indices[s]];
+      stats.value_loss += 0.5f * err * err * inv_n;
+      dvalues[s] = err * inv_n;
+    }
+    policy->critic->BackwardBatch(critic_cache, dvalues.data(), &pool);
+  }
+  actor_opt->Step(&pool);
+  if (use_critic && critic_opt != nullptr) critic_opt->Step(&pool);
   return stats;
 }
+
+namespace {
 
 /// True when the policy's weights or the aggregated update statistics
 /// contain NaN/Inf — the signal that this iteration's update diverged.
@@ -309,7 +339,8 @@ util::Result<TrainResult> Train(const EnvFactory& factory,
         std::make_unique<nn::Adam>(result.policy.critic.get(), opt_options);
   }
 
-  // Parallel actor-learners: one env per worker.
+  // Parallel actor-learners: one env per worker. The pool also runs the
+  // update phase's kernels.
   const size_t num_workers = std::max<size_t>(1, config.num_workers);
   std::vector<std::unique_ptr<Env>> envs;
   envs.push_back(std::move(probe));
@@ -405,7 +436,7 @@ util::Result<TrainResult> Train(const EnvFactory& factory,
                                       order.begin() + end);
         const UpdateStats stats =
             UpdateMinibatch(config, &result.policy, &actor_opt,
-                            critic_opt.get(), buffer, minibatch);
+                            critic_opt.get(), buffer, minibatch, pool);
         iter_stats.policy_loss += stats.policy_loss;
         iter_stats.value_loss += stats.value_loss;
         iter_stats.entropy += stats.entropy;

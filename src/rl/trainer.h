@@ -12,9 +12,13 @@
 
 #include "rl/env.h"
 #include "rl/policy.h"
+#include "rl/rollout.h"
 #include "util/status.h"
 
 namespace asqp {
+namespace util {
+class ThreadPool;
+}  // namespace util
 namespace rl {
 
 enum class Algorithm {
@@ -111,6 +115,24 @@ struct TrainResult {
   /// True when training continued from an on-disk checkpoint.
   bool resumed = false;
 };
+
+/// Loss statistics of one gradient step, each averaged over its minibatch.
+struct UpdateStats {
+  double policy_loss = 0.0;
+  double value_loss = 0.0;
+  double entropy = 0.0;
+};
+
+/// One gradient step of `config.algorithm` over the transitions `indices`
+/// of `buffer` (advantages and returns already computed): loss gradients
+/// for the actor and, unless REINFORCE, the critic, then one Adam step
+/// each. The kernels run on `pool`; the result does not depend on its
+/// size. Train calls this for every minibatch.
+UpdateStats UpdateMinibatch(const TrainerConfig& config, Policy* policy,
+                            nn::Adam* actor_opt, nn::Adam* critic_opt,
+                            const RolloutBuffer& buffer,
+                            const std::vector<size_t>& indices,
+                            util::ThreadPool& pool);
 
 /// Train a policy over environments produced by `factory`. All
 /// environments must share action_count / state_dim.

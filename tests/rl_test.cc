@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <numeric>
 
 #include "rl/action_space.h"
@@ -328,22 +330,95 @@ TEST(TrainTest, EarlyStoppingCutsIterations) {
   EXPECT_LT(result.iterations_run, 100u);
 }
 
+/// The bit patterns of every actor then critic parameter, in block order.
+std::vector<uint32_t> WeightBits(const Policy& policy) {
+  std::vector<uint32_t> bits;
+  for (nn::Mlp* net : {policy.actor.get(), policy.critic.get()}) {
+    if (net == nullptr) continue;
+    const std::vector<float*> params = net->Parameters();
+    const std::vector<size_t> lengths = net->BlockLengths();
+    for (size_t blk = 0; blk < params.size(); ++blk) {
+      for (size_t i = 0; i < lengths[blk]; ++i) {
+        bits.push_back(std::bit_cast<uint32_t>(params[blk][i]));
+      }
+    }
+  }
+  return bits;
+}
+
+/// FNV-1a over the little-endian bytes of WeightBits: a bitwise
+/// fingerprint of a trained policy.
+uint64_t WeightsHash(const Policy& policy) {
+  uint64_t h = 1469598103934665603ULL;
+  for (uint32_t word : WeightBits(policy)) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h = (h ^ ((word >> (8 * byte)) & 0xffu)) * 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
 TEST(TrainTest, DeterministicForSeed) {
   ActionSpace space = MakeToySpace(8);
-  TrainerConfig config;
-  config.iterations = 3;
-  config.episodes_per_iteration = 2;
-  config.num_workers = 1;  // determinism requires serialized collection
-  config.hidden_dim = 16;
-  config.seed = 42;
   EnvFactory factory = [&space] {
     return std::make_unique<GslEnv>(&space, 0);
   };
-  ASSERT_OK_AND_ASSIGN(TrainResult a, Train(factory, config));
-  ASSERT_OK_AND_ASSIGN(TrainResult b, Train(factory, config));
-  ASSERT_EQ(a.iteration_scores.size(), b.iteration_scores.size());
-  for (size_t i = 0; i < a.iteration_scores.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.iteration_scores[i], b.iteration_scores[i]);
+  // Parallel collection is deterministic too: worker w owns episodes
+  // w, w+W, ... with its own seeded stream, and buffers merge in worker
+  // order.
+  for (size_t workers : {1, 4}) {
+    TrainerConfig config;
+    config.iterations = 3;
+    config.episodes_per_iteration = 2;
+    config.num_workers = workers;
+    config.hidden_dim = 16;
+    config.seed = 42;
+    ASSERT_OK_AND_ASSIGN(TrainResult a, Train(factory, config));
+    ASSERT_OK_AND_ASSIGN(TrainResult b, Train(factory, config));
+    EXPECT_EQ(a.iteration_scores, b.iteration_scores) << workers;
+    EXPECT_EQ(WeightBits(a.policy), WeightBits(b.policy)) << workers;
+  }
+}
+
+/// Pins the trained weights bit for bit. The hashes were computed before
+/// the update moved to batched, multi-threaded kernels, so they also pin
+/// that rewrite to the one-sample loop it replaced. The minibatch size 10
+/// leaves partial kernel tiles, and hidden width 64 puts the larger
+/// layers on the pool. The values assume IEEE single precision without
+/// FMA contraction and glibc's expf/logf/tanhf (x86-64 Linux); any change
+/// here changes which tuples the agent picks.
+TEST(TrainTest, GoldenWeightsHash) {
+  ActionSpace space = MakeToySpace(40);
+  EnvFactory factory = [&space] {
+    return std::make_unique<GslEnv>(&space, 0);
+  };
+  struct Golden {
+    Algorithm algorithm;
+    size_t workers;
+    uint64_t hash;
+  };
+  const Golden goldens[] = {
+      {Algorithm::kPpo, 1, 0xe03731a612c877e1ULL},
+      {Algorithm::kPpo, 4, 0xf8e038a38f00b16bULL},
+      {Algorithm::kA2c, 1, 0xe6b81d8fe74ac9acULL},
+      {Algorithm::kA2c, 4, 0xafba8588840adee4ULL},
+      {Algorithm::kReinforce, 1, 0x489560b000a042b8ULL},
+      {Algorithm::kReinforce, 4, 0x00adc23777a387f8ULL},
+  };
+  for (const Golden& golden : goldens) {
+    TrainerConfig config;
+    config.algorithm = golden.algorithm;
+    config.iterations = 4;
+    config.episodes_per_iteration = 8;
+    config.num_workers = golden.workers;
+    config.hidden_dim = 64;
+    config.minibatch_size = 10;
+    config.learning_rate = 3e-3;
+    config.seed = 7;
+    ASSERT_OK_AND_ASSIGN(TrainResult result, Train(factory, config));
+    EXPECT_EQ(WeightsHash(result.policy), golden.hash)
+        << AlgorithmName(golden.algorithm) << " with " << golden.workers
+        << " workers";
   }
 }
 
