@@ -149,22 +149,16 @@ struct AsqpConfig {
   /// queries from the learned fallback instead of erroring (load
   /// shedding). Unsupported queries keep the typed admission error.
   bool serve_shed_to_learned = true;
-  /// Gather window for batched multi-query execution (milliseconds): an
-  /// admitted query waits up to this long for peers touching the same
+  /// Gather window for batched multi-query execution (milliseconds): a
+  /// queued query waits up to this long for peers touching the same
   /// table set before its batch executes as one shared scan pass per
-  /// table. 0 disables batching (every query executes individually, the
-  /// pre-batching behavior). Results are byte-identical either way.
+  /// table. 0 means immediate single-ticket batches (a synchronous Answer
+  /// runs on the caller's thread when a slot is free and nothing is
+  /// queued). Results are byte-identical either way.
   double serve_batch_window_ms = 0.0;
   /// Upper bound on queries grouped into one batch; a group that fills up
   /// executes immediately without waiting out the gather window.
   size_t serve_batch_max_queries = 8;
-  /// Run the serving layer's sessions through the async completion path
-  /// (ServeEngine::AnswerAsync): tickets queue to the batch scheduler and
-  /// callers wait on an AnswerFuture instead of pinning a thread through
-  /// admission + execution. Requires serve_batch_window_ms handling via
-  /// the scheduler; with batching disabled the future resolves on the
-  /// caller's thread (synchronous semantics, async interface).
-  bool serve_async = false;
 
   uint64_t seed = 1;
 

@@ -416,6 +416,15 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
   const size_t n = queries.size();
   BatchStats stats;
   stats.members = n;
+  if (n == 1) {
+    // Nothing to share: a batch of one is Answer() itself — the solo
+    // plan (index range scans included), the tier-0 retry policy, and no
+    // serve.batch fault point.
+    std::vector<util::Result<AnswerResult>> out;
+    out.push_back(Answer(*queries[0].stmt, queries[0].context));
+    if (stats_out != nullptr) *stats_out = stats;
+    return out;
+  }
   std::vector<std::optional<util::Result<AnswerResult>>> results(n);
   std::vector<std::optional<PreparedQuery>> prepared(n);
   for (size_t i = 0; i < n; ++i) {

@@ -154,8 +154,9 @@ class AsqpModel {
   /// (answerability below threshold, a failed shared scan, a per-member
   /// execution failure) fall back to the individual path — a faulted
   /// member (serve.batch fault point, or any degradation-class failure)
-  /// degrades alone, never its batch peers. Returns one Result per input,
-  /// index-aligned.
+  /// degrades alone, never its batch peers. A one-member batch is answered
+  /// by Answer() itself (stats record only `members`). Returns one Result
+  /// per input, index-aligned.
   ///
   /// Thread safety: a *reader*, same contract as Answer().
   [[nodiscard]] std::vector<util::Result<AnswerResult>> AnswerBatch(

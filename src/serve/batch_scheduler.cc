@@ -7,11 +7,12 @@ namespace asqp {
 namespace serve {
 
 BatchScheduler::BatchScheduler(Options options, ExecuteFn execute)
-    : options_(options), execute_(std::move(execute)) {
+    : options_(options),
+      execute_(std::move(execute)),
+      slots_(std::max<size_t>(1, options.executors)) {
   gatherer_ = std::thread([this] { GatherLoop(); });
-  const size_t n = std::max<size_t>(1, options_.executors);
-  executors_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
+  executors_.reserve(slots_);
+  for (size_t i = 0; i < slots_; ++i) {
     executors_.emplace_back([this] { ExecutorLoop(); });
   }
 }
@@ -63,6 +64,43 @@ bool BatchScheduler::Submit(Ticket ticket) {
   return true;
 }
 
+bool BatchScheduler::TryRunInline(Ticket& ticket) {
+  if (options_.window_seconds > 0.0) return false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // A zero window never gathers, so an empty ready queue means no ticket
+    // is waiting: running now cannot overtake anyone.
+    if (stop_ || !ready_.empty() || running_ >= slots_) return false;
+    ++running_;
+    ++submitted_;
+    ++batches_formed_;
+    ++batch_members_;
+  }
+  std::vector<Ticket> batch;
+  batch.push_back(std::move(ticket));
+  try {
+    execute_(std::move(batch));
+  } catch (...) {
+    // A slot leaked here would shrink the in-flight bound for good.
+    ReleaseInlineSlot();
+    throw;
+  }
+  ReleaseInlineSlot();
+  return true;
+}
+
+void BatchScheduler::ReleaseInlineSlot() {
+  bool queued = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    --running_;
+    queued = !ready_.empty();
+  }
+  // Wake an executor only for a batch that queued while this run held the
+  // slot; with nothing ready, waking one would just put it back to sleep.
+  if (queued) exec_cv_.notify_one();
+}
+
 void BatchScheduler::GatherLoop() {
   const auto window = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(std::max(0.0, options_.window_seconds)));
@@ -108,15 +146,19 @@ void BatchScheduler::GatherLoop() {
 void BatchScheduler::ExecutorLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    exec_cv_.wait(lock,
-                  [this] { return !ready_.empty() || (stop_ && flushed_); });
+    // A ready batch waits for a free slot (inline runs hold slots too).
+    exec_cv_.wait(lock, [this] {
+      return ready_.empty() ? stop_ && flushed_ : running_ < slots_;
+    });
     if (ready_.empty()) break;  // stopped, flushed, and drained
     std::vector<Ticket> batch = std::move(ready_.front());
     ready_.pop_front();
     queued_tickets_ -= batch.size();
+    ++running_;
     lock.unlock();
     execute_(std::move(batch));
     lock.lock();
+    --running_;
   }
 }
 

@@ -1,17 +1,24 @@
-// Shared-scan batch formation for the serving layer.
+// Admission and shared-scan batch formation for the serving layer: every
+// query ServeEngine executes passes through here.
 //
-// AnswerAsync turns each admitted query into a Ticket (statement copy,
-// caller context, fingerprint, promise) and Submit()s it here; the
-// FifoSemaphore thread-per-waiter admission of the synchronous path
-// becomes this bounded ticket queue. A gather thread groups tickets by
-// their table-set key: a group executes as one batch when it reaches
-// max_batch members or its oldest ticket has waited out the gather
-// window, whichever comes first — so queries over the same tables share
-// one scan pass (multi-query optimization), while disjoint-table queries
-// sit in different groups and never wait on each other's batches. A fixed
-// pool of executor threads drains ready batches through the engine's
-// ExecuteFn (ServeEngine::ExecuteBatch), which resolves every member's
-// promise; sessions wait on futures, not threads.
+// ServeEngine turns each query into a Ticket (statement copy, caller
+// context, fingerprint, promise). AnswerAsync Submit()s it to a bounded
+// ticket queue; a gather thread groups queued tickets by their table-set
+// key, and a group executes as one batch when it reaches max_batch members
+// or its oldest ticket has waited out the gather window, whichever comes
+// first — so queries over the same tables share one scan pass
+// (multi-query optimization), while disjoint-table queries sit in
+// different groups and never wait on each other's batches. A fixed pool of
+// executor threads drains ready batches through the engine's ExecuteFn
+// (ServeEngine::ExecuteBatch), which resolves every member's promise;
+// sessions wait on futures, not threads.
+//
+// Synchronous callers first try TryRunInline(): with a zero gather window,
+// a free execution slot and nothing queued, the one-ticket batch runs on
+// the caller's own thread (no executor handoff). Inline runs and executor
+// batches share one slot count capped at `executors`, and an inline run is
+// only allowed while no ticket is queued — so a late arrival never
+// overtakes a queued ticket, and total executions never exceed the cap.
 //
 // Shutdown flushes: the destructor stops intake, promotes every gathering
 // group to a batch, executes them all, then joins — no ticket is ever
@@ -42,15 +49,15 @@ class BatchScheduler {
  public:
   struct Options {
     /// Seconds a group's oldest ticket waits for peers before the group
-    /// executes. <= 0 promotes tickets to batches immediately (async
-    /// execution without cross-query gathering).
+    /// executes. <= 0 promotes tickets to batches immediately (one-ticket
+    /// batches, no cross-query gathering) and enables TryRunInline.
     double window_seconds = 0.001;
     /// A group reaching this many members executes without waiting.
     size_t max_batch = 8;
     /// Tickets queued (gathering + ready) before Submit rejects.
     size_t queue_capacity = 16;
-    /// Executor threads draining ready batches (the batched path's
-    /// in-flight bound, replacing the semaphore's permit count).
+    /// Executor threads draining ready batches, and the execution slots
+    /// they share with inline runs: the engine's in-flight bound.
     size_t executors = 1;
   };
 
@@ -79,12 +86,19 @@ class BatchScheduler {
   /// Enqueue a ticket. Returns false — without resolving the promise —
   /// when the queue is at capacity or the scheduler is shutting down; the
   /// caller owns the rejection (shed / typed back-pressure error).
-  [[nodiscard]] bool Submit(Ticket ticket);
+  [[nodiscard]] bool Submit(Ticket ticket) ASQP_EXCLUDES(mu_);
+
+  /// Run `ticket` as a one-ticket batch on the calling thread, when the
+  /// gather window is zero, an execution slot is free and no ticket is
+  /// queued. Returns true once the batch has executed (the ticket was
+  /// consumed and its promise resolved); false leaves `ticket` untouched
+  /// for the caller to Submit().
+  [[nodiscard]] bool TryRunInline(Ticket& ticket) ASQP_EXCLUDES(mu_);
 
   struct Stats {
-    uint64_t submitted = 0;       ///< tickets accepted
+    uint64_t submitted = 0;       ///< tickets queued or run inline
     uint64_t rejected = 0;        ///< Submit refusals (queue full)
-    uint64_t batches_formed = 0;  ///< groups promoted to execution
+    uint64_t batches_formed = 0;  ///< groups promoted, plus inline runs
     uint64_t batch_members = 0;   ///< tickets across all formed batches
   };
   Stats stats() const;
@@ -107,6 +121,7 @@ class BatchScheduler {
 
   void GatherLoop();
   void ExecutorLoop();
+  void ReleaseInlineSlot() ASQP_EXCLUDES(mu_);
 
   const Options options_;
   const ExecuteFn execute_;
@@ -119,6 +134,9 @@ class BatchScheduler {
   std::map<std::string, Group> gathering_ ASQP_GUARDED_BY(mu_);
   std::deque<std::vector<Ticket>> ready_ ASQP_GUARDED_BY(mu_);
   size_t queued_tickets_ ASQP_GUARDED_BY(mu_) = 0;
+  /// Executions in progress, inline and on executors (<= slots_).
+  size_t running_ ASQP_GUARDED_BY(mu_) = 0;
+  const size_t slots_;
   uint64_t submitted_ ASQP_GUARDED_BY(mu_) = 0;
   uint64_t rejected_ ASQP_GUARDED_BY(mu_) = 0;
   uint64_t batches_formed_ ASQP_GUARDED_BY(mu_) = 0;

@@ -1,21 +1,33 @@
 // Serving-layer tests: AnswerCache unit behavior (LRU, byte budget,
-// generations, collisions) and ServeEngine end-to-end on a trained model
+// generations, collisions), BatchScheduler admission (FIFO order, bounded
+// queue, inline runs that never overtake a queued ticket, the shared slot
+// cap, shutdown flush) and ServeEngine end-to-end on a trained model
 // (cache hits byte-identical to executions, equivalent spellings share an
 // entry, FineTune invalidates, shared-pool answers identical at every
-// pool size).
+// pool size, a batch of one is AsqpModel::Answer).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/trainer.h"
 #include "data/dataset.h"
+#include "exec/executor.h"
+#include "plan/stats.h"
 #include "serve/answer_cache.h"
+#include "serve/batch_scheduler.h"
 #include "serve/serve_engine.h"
 #include "sql/canonicalize.h"
 #include "tests/testing.h"
 #include "util/exec_context.h"
+#include "util/fault_injector.h"
 
 namespace asqp {
 namespace serve {
@@ -147,6 +159,210 @@ TEST(AnswerCacheTest, ClearDropsEverything) {
 }
 
 // ---- ServeEngine on a trained model -----------------------------------
+
+// ---- BatchScheduler unit tests ----------------------------------------
+
+/// A ticket named `tag` (carried as its canonical text) in group `group`;
+/// `future` receives the ticket's future.
+BatchScheduler::Ticket NamedTicket(const std::string& tag,
+                                   AnswerFuture* future,
+                                   const std::string& group = "t") {
+  BatchScheduler::Ticket ticket;
+  ticket.fingerprint.canonical = tag;
+  ticket.group_key = group;
+  *future = ticket.promise.future();
+  return ticket;
+}
+
+/// An ExecuteFn body: records each ticket's name in execution order and
+/// resolves it with an empty answer. A ticket named "hold" blocks until
+/// `release` opens, with `holding` raised while it waits.
+class ExecutionLog {
+ public:
+  void LogAndResolve(std::vector<BatchScheduler::Ticket>&& batch) {
+    for (BatchScheduler::Ticket& ticket : batch) {
+      if (ticket.fingerprint.canonical == "hold") {
+        holding_.store(true);
+        release_.wait();
+      }
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        order_.push_back(ticket.fingerprint.canonical);
+      }
+      ticket.promise.Resolve(core::AnswerResult());
+    }
+  }
+  void AwaitHolding() const {
+    while (!holding_.load()) std::this_thread::yield();
+  }
+  void Release() { open_.set_value(); }
+  std::vector<std::string> order() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return order_;
+  }
+
+ private:
+  std::promise<void> open_;
+  std::shared_future<void> release_ = open_.get_future().share();
+  std::atomic<bool> holding_{false};
+  std::mutex mu_;
+  std::vector<std::string> order_;
+};
+
+BatchScheduler::Options ImmediateOptions(size_t executors) {
+  BatchScheduler::Options options;
+  options.window_seconds = 0.0;
+  options.queue_capacity = 8;
+  options.executors = executors;
+  return options;
+}
+
+TEST(BatchSchedulerTest, TicketsAreServedInFifoOrder) {
+  ExecutionLog log;
+  BatchScheduler scheduler(
+      ImmediateOptions(/*executors=*/1),
+      [&log](std::vector<BatchScheduler::Ticket>&& batch) {
+        log.LogAndResolve(std::move(batch));
+      });
+  AnswerFuture hold;
+  ASSERT_TRUE(scheduler.Submit(NamedTicket("hold", &hold)));
+  log.AwaitHolding();
+  std::vector<AnswerFuture> queued(4);
+  for (size_t i = 0; i < queued.size(); ++i) {
+    ASSERT_TRUE(scheduler.Submit(NamedTicket(std::to_string(i), &queued[i])));
+  }
+  EXPECT_EQ(scheduler.QueueDepth(), 4u);
+  log.Release();
+  for (AnswerFuture& f : queued) ASSERT_TRUE(f.Get().ok());
+  EXPECT_EQ(log.order(),
+            (std::vector<std::string>{"hold", "0", "1", "2", "3"}));
+}
+
+TEST(BatchSchedulerTest, FullQueueRejectsWithoutResolvingThePromise) {
+  BatchScheduler::Options options;
+  options.window_seconds = 60.0;  // nothing leaves the queue on its own
+  options.queue_capacity = 2;
+  ExecutionLog log;
+  BatchScheduler scheduler(
+      options, [&log](std::vector<BatchScheduler::Ticket>&& batch) {
+        log.LogAndResolve(std::move(batch));
+      });
+  AnswerFuture a;
+  AnswerFuture b;
+  AnswerFuture c;
+  ASSERT_TRUE(scheduler.Submit(NamedTicket("a", &a)));
+  ASSERT_TRUE(scheduler.Submit(NamedTicket("b", &b)));
+  EXPECT_FALSE(scheduler.Submit(NamedTicket("c", &c)));
+  // The caller owns the rejection: the scheduler resolved nothing.
+  EXPECT_FALSE(c.Ready());
+  EXPECT_EQ(scheduler.QueueDepth(), 2u);
+  EXPECT_EQ(scheduler.stats().rejected, 1u);
+  EXPECT_EQ(scheduler.stats().submitted, 2u);
+}
+
+TEST(BatchSchedulerTest, InlineRunNeverOvertakesAQueuedTicket) {
+  ExecutionLog log;
+  BatchScheduler scheduler(
+      ImmediateOptions(/*executors=*/1),
+      [&log](std::vector<BatchScheduler::Ticket>&& batch) {
+        log.LogAndResolve(std::move(batch));
+      });
+  std::thread session([&scheduler] {
+    AnswerFuture hold;
+    BatchScheduler::Ticket first = NamedTicket("hold", &hold);
+    // Free slot, empty queue: runs on this thread.
+    ASSERT_TRUE(scheduler.TryRunInline(first));
+    // The slot was freed a moment ago while "queued" still waits for the
+    // executor to wake: the late arrival must queue behind it.
+    AnswerFuture late;
+    BatchScheduler::Ticket next = NamedTicket("late", &late);
+    if (!scheduler.TryRunInline(next)) {
+      ASSERT_TRUE(scheduler.Submit(std::move(next)));
+    }
+    ASSERT_TRUE(late.Get().ok());
+  });
+  log.AwaitHolding();
+  AnswerFuture queued;
+  ASSERT_TRUE(scheduler.Submit(NamedTicket("queued", &queued)));
+  AnswerFuture busy;
+  BatchScheduler::Ticket refused = NamedTicket("busy", &busy);
+  EXPECT_FALSE(scheduler.TryRunInline(refused));  // the slot is held
+  EXPECT_FALSE(busy.Ready());
+  log.Release();
+  session.join();
+  ASSERT_TRUE(queued.Get().ok());
+  EXPECT_EQ(log.order(),
+            (std::vector<std::string>{"hold", "queued", "late"}));
+}
+
+TEST(BatchSchedulerTest, InlineAndExecutorRunsNeverExceedTheSlotCap) {
+  constexpr size_t kSlots = 2;
+  constexpr size_t kSessions = 6;
+  constexpr size_t kPerSession = 20;
+  std::atomic<int> running{0};
+  std::atomic<int> high_water{0};
+  BatchScheduler::Options options = ImmediateOptions(kSlots);
+  options.queue_capacity = kSessions;
+  BatchScheduler scheduler(
+      options, [&running, &high_water](
+                   std::vector<BatchScheduler::Ticket>&& batch) {
+        const int now = running.fetch_add(1) + 1;
+        int seen = high_water.load();
+        while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        running.fetch_sub(1);
+        for (BatchScheduler::Ticket& t : batch) {
+          t.promise.Resolve(core::AnswerResult());
+        }
+      });
+  std::vector<std::thread> sessions;
+  for (size_t s = 0; s < kSessions; ++s) {
+    // Even sessions call like a synchronous Answer (inline first), odd
+    // ones like AnswerAsync (always queued).
+    sessions.emplace_back([&scheduler, s] {
+      for (size_t i = 0; i < kPerSession; ++i) {
+        AnswerFuture future;
+        BatchScheduler::Ticket ticket = NamedTicket("q", &future);
+        const bool ran = s % 2 == 0 && scheduler.TryRunInline(ticket);
+        if (!ran) {
+          ASSERT_TRUE(scheduler.Submit(std::move(ticket)));
+        }
+        ASSERT_TRUE(future.Get().ok());
+      }
+    });
+  }
+  for (std::thread& t : sessions) t.join();
+  EXPECT_GE(high_water.load(), 1);
+  EXPECT_LE(high_water.load(), static_cast<int>(kSlots));
+  // Inline runs count as one-ticket batches.
+  const BatchScheduler::Stats stats = scheduler.stats();
+  EXPECT_EQ(stats.batches_formed, kSessions * kPerSession);
+  EXPECT_EQ(stats.batch_members, kSessions * kPerSession);
+}
+
+TEST(BatchSchedulerTest, DestructorResolvesEveryPromise) {
+  BatchScheduler::Options options;
+  options.window_seconds = 60.0;  // groups would gather for a minute
+  options.queue_capacity = 8;
+  std::vector<AnswerFuture> futures(5);
+  ExecutionLog log;
+  {
+    BatchScheduler scheduler(
+        options, [&log](std::vector<BatchScheduler::Ticket>&& batch) {
+          log.LogAndResolve(std::move(batch));
+        });
+    for (size_t i = 0; i < futures.size(); ++i) {
+      ASSERT_TRUE(scheduler.Submit(NamedTicket(
+          std::to_string(i), &futures[i], i % 2 == 0 ? "t" : "p")));
+    }
+    for (const AnswerFuture& f : futures) EXPECT_FALSE(f.Ready());
+  }
+  for (const AnswerFuture& f : futures) EXPECT_TRUE(f.Ready());
+  EXPECT_EQ(log.order().size(), futures.size());
+}
+
+// ---- ServeEngine ------------------------------------------------------
 
 class ServeEngineTest : public ::testing::Test {
  protected:
@@ -395,11 +611,9 @@ TEST_F(ServeEngineTest, FromConfigDerivesKnobs) {
   EXPECT_FALSE(options.async);
   config.serve_batch_window_ms = 2.5;
   config.serve_batch_max_queries = 3;
-  config.serve_async = true;
   ServeOptions batched = ServeOptions::FromConfig(config);
   EXPECT_EQ(batched.batch_window_ms, 2.5);
   EXPECT_EQ(batched.batch_max_queries, 3u);
-  EXPECT_TRUE(batched.async);
 }
 
 // ---- Batched / async serving ------------------------------------------
@@ -517,9 +731,8 @@ TEST_F(ServeEngineTest, DisjointTableQueriesNeverShareABatch) {
 }
 
 TEST_F(ServeEngineTest, CompletionQueueMultiplexesManySessions) {
-  ServeOptions options = SmallServe();
-  options.async = true;  // zero window: immediate per-query batches
-  ServeEngine engine(model_.get(), options);
+  // Zero window (the default): immediate per-query batches.
+  ServeEngine engine(model_.get(), SmallServe());
   const std::vector<std::string> sqls = {kTitleRecent, kTitleOld,
                                          kPersonQuery, kQuery};
   CompletionQueue queue;
@@ -546,9 +759,7 @@ TEST_F(ServeEngineTest, SyncAnswerRidesTheBatchedPathWhenSchedulerIsOn) {
     ASSERT_OK_AND_ASSIGN(core::AnswerResult r, plain.AnswerSql(kTitleRecent));
     want = Keys(r.result);
   }
-  ServeOptions options = SmallServe();
-  options.async = true;
-  ServeEngine engine(model_.get(), options);
+  ServeEngine engine(model_.get(), SmallServe());
   ASSERT_OK_AND_ASSIGN(core::AnswerResult got, engine.AnswerSql(kTitleRecent));
   EXPECT_EQ(Keys(got.result), want);
   ServeEngine::Stats stats = engine.stats();
@@ -559,9 +770,7 @@ TEST_F(ServeEngineTest, SyncAnswerRidesTheBatchedPathWhenSchedulerIsOn) {
 }
 
 TEST_F(ServeEngineTest, AsyncFastPathRejectsDeadRequestsWithoutATicket) {
-  ServeOptions options = SmallServe();
-  options.async = true;
-  ServeEngine engine(model_.get(), options);
+  ServeEngine engine(model_.get(), SmallServe());
   util::ExecContext expired;
   expired.set_deadline(util::Deadline::AfterSeconds(0.0));
   AnswerFuture late = engine.AnswerSqlAsync(kTitleRecent, expired);
@@ -572,6 +781,137 @@ TEST_F(ServeEngineTest, AsyncFastPathRejectsDeadRequestsWithoutATicket) {
   ServeEngine::Stats stats = engine.stats();
   EXPECT_EQ(stats.expired_fast_path, 1u);
   EXPECT_EQ(stats.batch_members, 0u);
+}
+
+// A synchronous caller queued behind a busy slot is checked when its batch
+// is picked up: expired or cancelled while queued, it is shed to the
+// learned tier or gets a typed kDegraded — never a raw timeout.
+TEST_F(ServeEngineTest, InlineSlotQueuedSyncCallerIsShedOnExpiryOrCancel) {
+  // The slot holder: a synchronous join whose every tier-0 attempt fails
+  // transiently, so each of its retries sleeps a backoff (>= 25 ms each)
+  // while it holds the only execution slot.
+  core::AsqpConfig& config = model_->mutable_config();
+  const core::AsqpConfig saved = config;
+  config.answerable_threshold = 0.0;  // every query takes tier 0
+  config.fallback_retry_attempts = 10;
+  config.fallback_retry_backoff_seconds = 0.05;
+  util::FaultInjector::Global().Reset();
+  util::FaultInjector::Global().Arm("exec.join.alloc", /*count=*/-1);
+
+  ServeOptions options = SmallServe();
+  options.max_inflight = 1;
+  options.cache_bytes = 0;
+  {
+    ServeEngine engine(model_.get(), options);
+    std::thread holder([&engine] {
+      util::Result<core::AnswerResult> held = engine.AnswerSql(kQuery);
+      if (!held.ok()) {
+        EXPECT_EQ(held.status().code(), util::StatusCode::kDegraded)
+            << held.status().ToString();
+      }
+    });
+    while (engine.stats().admitted == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+    const char kAggregate[] =
+        "SELECT COUNT(*) FROM title t WHERE t.production_year >= 2000";
+    util::Result<core::AnswerResult> expired =
+        util::Status::Internal("unset");
+    util::Result<core::AnswerResult> cancelled =
+        util::Status::Internal("unset");
+    util::ExecContext cancel_context;
+    cancel_context.EnableCancellation();
+    std::thread expiring([&engine, &expired, kAggregate] {
+      // Alive on arrival, long dead once the holder lets go.
+      expired =
+          engine.AnswerSql(kAggregate, util::ExecContext::WithDeadline(0.1));
+    });
+    std::thread cancelling([&engine, &cancelled, &cancel_context, kAggregate] {
+      cancelled = engine.AnswerSql(kAggregate, cancel_context);
+    });
+    while (engine.stats().queue_depth < 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    cancel_context.RequestCancel();
+    holder.join();
+    expiring.join();
+    cancelling.join();
+
+    const std::pair<util::Result<core::AnswerResult>*, const char*> cases[] =
+        {{&expired, "shed:admission_deadline"}, {&cancelled, "shed:cancelled"}};
+    for (const auto& [result, reason] : cases) {
+      if (result->ok()) {
+        EXPECT_EQ(result->value().fallback_reason, reason);
+        EXPECT_EQ(result->value().tier, core::AnswerTier::kLearned);
+      } else {
+        EXPECT_EQ(result->status().code(), util::StatusCode::kDegraded)
+            << reason << ": " << result->status().ToString();
+      }
+    }
+    EXPECT_EQ(engine.stats().admission_expired, 2u);
+  }
+  util::FaultInjector::Global().Reset();
+  config = saved;
+  model_->circuit_breaker().RecordSuccess();
+}
+
+// With a zero window every ServeEngine::Answer is a one-ticket batch, and a
+// batch of one is AsqpModel::Answer by construction: same rows, columns,
+// tier and routing — for the solo index range scan over the approximation
+// set and for queries below the answerability threshold — and no
+// serve.batch fault point.
+TEST_F(ServeEngineTest, BatchOfOneIsModelAnswer) {
+  const std::vector<std::string> sqls = {
+      "SELECT t.name FROM title t WHERE t.production_year = 2010",
+      "SELECT p.name FROM person p WHERE p.birth_year > 1970", kQuery};
+
+  // The first query plans an index range scan over the approximation set.
+  exec::ExecOptions explain_options;
+  explain_options.planner_stats = std::make_shared<const plan::StatsCatalog>(
+      plan::StatsCatalog::Collect(*bundle_->db));
+  explain_options.index_catalog = model_->index_catalog();
+  const storage::DatabaseView set_view(bundle_->db.get(),
+                                       &model_->approximation_set());
+  ASSERT_OK_AND_ASSIGN(
+      const std::string plan,
+      exec::QueryEngine(explain_options).ExplainSql(sqls[0], set_view));
+  EXPECT_NE(plan.find("IndexRangeScan"), std::string::npos) << plan;
+
+  // Threshold 0 routes every query to the approximation set; above 1 every
+  // query is below the threshold and goes to the full database.
+  core::AsqpConfig& config = model_->mutable_config();
+  const double saved_threshold = config.answerable_threshold;
+  util::FaultInjector::Global().Reset();
+  util::FaultInjector::Global().Arm("serve.batch", /*count=*/-1);
+  for (const double threshold : {0.0, 1.01}) {
+    config.answerable_threshold = threshold;
+    std::vector<core::AnswerResult> want;
+    for (const std::string& sql : sqls) {
+      ASSERT_OK_AND_ASSIGN(core::AnswerResult direct, model_->AnswerSql(sql));
+      EXPECT_EQ(direct.used_approximation, threshold == 0.0) << sql;
+      want.push_back(std::move(direct));
+    }
+    ServeOptions options = SmallServe();
+    options.cache_bytes = 0;
+    ServeEngine engine(model_.get(), options);
+    for (size_t i = 0; i < sqls.size(); ++i) {
+      util::Result<core::AnswerResult> got = engine.AnswerSql(sqls[i]);
+      ASSERT_TRUE(got.ok()) << sqls[i] << ": " << got.status().ToString();
+      EXPECT_EQ(Keys(got.value().result), Keys(want[i].result)) << sqls[i];
+      EXPECT_EQ(got.value().result.column_names(),
+                want[i].result.column_names());
+      EXPECT_EQ(got.value().tier, want[i].tier) << sqls[i];
+      EXPECT_EQ(got.value().used_approximation, want[i].used_approximation);
+    }
+    const ServeEngine::Stats stats = engine.stats();
+    EXPECT_EQ(stats.batches_formed, sqls.size());
+    EXPECT_EQ(stats.batch_members, sqls.size());
+    EXPECT_EQ(stats.batch_solo, 0u);
+  }
+  EXPECT_EQ(util::FaultInjector::Global().fire_count("serve.batch"), 0);
+  util::FaultInjector::Global().Reset();
+  config.answerable_threshold = saved_threshold;
 }
 
 }  // namespace
