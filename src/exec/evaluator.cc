@@ -258,7 +258,11 @@ util::Result<Value> EvaluateScalarOnRow(
     case ExprKind::kNot: {
       ASQP_ASSIGN_OR_RETURN(
           bool operand, EvaluatePredicateOnRow(*expr.left, column_names, row));
-      return Value(static_cast<int64_t>(!operand));
+      // Returned through a const local: moving the Value temporary into
+      // the Result here trips a false GCC 12 -Wmaybe-uninitialized in
+      // optimized ASan/UBSan builds.
+      const Value negation(static_cast<int64_t>(!operand));
+      return negation;
     }
     case ExprKind::kIn: {
       ASQP_ASSIGN_OR_RETURN(Value v,

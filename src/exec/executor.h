@@ -6,6 +6,18 @@
 // as their tables are joined) -> aggregation or projection -> DISTINCT ->
 // ORDER BY -> LIMIT.
 //
+// Scans and joins run typed kernels over raw column storage. A table's
+// filter conjuncts compile once per execution into tests over the
+// column's int64/double arrays or dictionary codes (EvaluatePredicate only
+// for shapes without one), and one scan kernel serves every domain: all
+// visible rows, index candidates, or a shared scan's batch pass. Hash-join
+// keys are fixed-width words (int64, normalised double, or dictionary code
+// translated between the two sides' dictionaries) whose equality is
+// Value::Compare's, except that NaN never joins. Each join step hashes the
+// smaller of its two inputs; when that is the joined tuples, a stable
+// counting sort restores the probe order, so the output never depends on
+// the side hashed (see DESIGN.md §4a, §4e).
+//
 // Parallelism: with ExecOptions::num_threads > 1 every operator runs
 // morsel-parallel over a thread pool owned by the engine — scan/filter,
 // hash-join *build* (radix-partitioned: each morsel hashes its build rows
@@ -65,8 +77,8 @@ struct ExecOptions {
   /// sequentially), so changing morsel_rows may flip the last ulp of a
   /// floating-point SUM/AVG; changing num_threads never does.
   size_t morsel_rows = 16 * 1024;
-  /// Radix partitions for the parallel hash-join build. Build keys are
-  /// FNV-1a hashed into one of `build_partitions` buckets; per-morsel
+  /// Radix partitions for the parallel hash-join build. The top bits of a
+  /// build key's hash pick one of `build_partitions` buckets; per-morsel
   /// bucket buffers merge in morsel order, one thread per partition.
   /// 0 = auto (smallest power of two >= 4 * num_threads, capped at 64).
   /// Ignored by the sequential engine (single partition).
@@ -176,14 +188,14 @@ class QueryEngine {
       const std::vector<ScanSelection>& selections,
       const util::ExecContext& context = util::ExecContext()) const;
 
-  /// Multi-query shared scan: one pass over `table`'s visible rows
-  /// evaluating every member query's single-table conjuncts against each
-  /// row, instead of one pass per member. out->at(m) receives exactly the
-  /// candidate rows member m's own filtered scan would produce — same
-  /// domain order (ascending visible ordinals), same conjunct
-  /// short-circuit order, morsel-parallel with per-morsel buffers merged
-  /// in morsel order — so feeding it to ExecutePlanned() keeps results
-  /// byte-identical to unbatched execution. Members whose planner chose an
+  /// Multi-query shared scan: one pass over `table`'s visible rows, each
+  /// block of rows gathered once and filtered through every member
+  /// query's compiled single-table conjuncts, instead of one pass per
+  /// member. out->at(m) receives exactly the candidate rows member m's own
+  /// filtered scan would produce — the same scan kernel, the same domain
+  /// order (ascending visible ordinals), morsel-parallel with per-morsel
+  /// buffers merged in morsel order — so feeding it to ExecutePlanned()
+  /// keeps results byte-identical to unbatched execution. Members whose planner chose an
   /// index access path are scanned here as full passes, which the index
   /// contract already proves byte-identical (the index yields a candidate
   /// superset in scan order and all conjuncts are re-evaluated). All

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,6 +57,14 @@ class Column {
   uint32_t StringCodeAt(size_t row) const { return codes_[row]; }
   size_t dict_size() const { return dict_.size(); }
   const std::string& dict_entry(uint32_t code) const { return dict_[code]; }
+  /// Dictionary code of `s`, or nullopt when no row holds that string.
+  /// Codes are unique per distinct string, so two non-null rows hold equal
+  /// strings exactly when their codes are equal.
+  std::optional<uint32_t> FindCode(const std::string& s) const {
+    const auto it = dict_index_.find(s);
+    if (it == dict_index_.end()) return std::nullopt;
+    return it->second;
+  }
 
   /// Materialize row `row` as a Value (allocates for strings).
   Value ValueAt(size_t row) const {

@@ -84,16 +84,13 @@ class Value {
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
   std::string ToString() const {
-    switch (type()) {
-      case ValueType::kNull: return "NULL";
-      case ValueType::kInt64: return std::to_string(AsInt64());
-      case ValueType::kDouble: {
-        std::string s = std::to_string(AsDouble());
-        return s;
-      }
-      case ValueType::kString: return AsString();
-    }
-    return "?";
+    // get_if, not a switch over type(): each read sits behind its own
+    // alternative check, which keeps GCC 12's -Wmaybe-uninitialized quiet
+    // in optimized ASan/UBSan builds.
+    if (const auto* i = std::get_if<int64_t>(&repr_)) return std::to_string(*i);
+    if (const auto* d = std::get_if<double>(&repr_)) return std::to_string(*d);
+    if (const auto* s = std::get_if<std::string>(&repr_)) return *s;
+    return "NULL";
   }
 
  private:

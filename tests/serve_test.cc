@@ -374,7 +374,9 @@ class ServeEngineTest : public ::testing::Test {
     // Suite fixture: paired with delete in TearDownTestSuite.
     bundle_ = new data::DatasetBundle(data::MakeImdbJob(opts));  // NOLINT(asqp-naked-new)
 
-    core::AsqpConfig config;
+    // Kept for tests that train their own copy of the suite model (see
+    // FineTuneInvalidatesCachedAnswers).
+    core::AsqpConfig& config = config_;
     config.k = 300;
     config.frame_size = 25;
     config.num_representatives = 10;
@@ -414,10 +416,12 @@ class ServeEngineTest : public ::testing::Test {
   }
 
   static data::DatasetBundle* bundle_;
+  static core::AsqpConfig config_;
   static std::unique_ptr<core::AsqpModel> model_;
 };
 
 data::DatasetBundle* ServeEngineTest::bundle_ = nullptr;
+core::AsqpConfig ServeEngineTest::config_;
 std::unique_ptr<core::AsqpModel> ServeEngineTest::model_ = nullptr;
 
 const char kQuery[] =
@@ -516,13 +520,20 @@ TEST_F(ServeEngineTest, AnswersAreIdenticalAcrossPoolSizes) {
 }
 
 TEST_F(ServeEngineTest, FineTuneInvalidatesCachedAnswers) {
-  ServeEngine engine(model_.get(), SmallServe());
+  // FineTune changes the model it runs on, so this test trains its own
+  // copy of the suite model: the shared model_ every other test reads then
+  // stays the same whatever order the tests run in.
+  core::AsqpTrainer trainer(config_);
+  ASSERT_OK_AND_ASSIGN(core::TrainReport report,
+                       trainer.Train(*bundle_->db, bundle_->workload));
+  const std::unique_ptr<core::AsqpModel> model = std::move(report.model);
+  ServeEngine engine(model.get(), SmallServe());
   ASSERT_OK_AND_ASSIGN(core::AnswerResult cold, engine.AnswerSql(kQuery));
   ASSERT_OK_AND_ASSIGN(core::AnswerResult warm, engine.AnswerSql(kQuery));
   ASSERT_TRUE(warm.from_cache);
   ASSERT_GE(engine.cache().stats().entries, 1u);
 
-  const uint64_t generation_before = model_->generation();
+  const uint64_t generation_before = model->generation();
   ASSERT_OK_AND_ASSIGN(
       metric::Workload drift,
       metric::Workload::FromSql(
@@ -530,7 +541,7 @@ TEST_F(ServeEngineTest, FineTuneInvalidatesCachedAnswers) {
            "SELECT p.name, p.birth_year FROM person p "
            "WHERE p.birth_year < 1950"}));
   ASSERT_OK(engine.FineTune(drift));
-  EXPECT_GT(model_->generation(), generation_before);
+  EXPECT_GT(model->generation(), generation_before);
   // The eager sweep emptied the cache...
   EXPECT_EQ(engine.cache().stats().entries, 0u);
   // ...so the next Answer re-executes against the new approximation set.
@@ -664,6 +675,12 @@ TEST_F(ServeEngineTest, BatchedAnswersAreByteIdenticalToUnbatched) {
 }
 
 TEST_F(ServeEngineTest, SameTablePredicatesShareOneBatchAndOneScan) {
+  // The shared pass runs over the approximation set, so both members must
+  // take tier 0. Threshold 0 pins that; the suite model's own answerability
+  // estimate for these two statements is not what this test is about.
+  core::AsqpConfig& config = model_->mutable_config();
+  const double saved_threshold = config.answerable_threshold;
+  config.answerable_threshold = 0.0;
   ServeOptions options = SmallServe();
   // max_batch = 2 closes the group the instant the second same-table
   // query arrives — the test never depends on window timing.
@@ -674,6 +691,7 @@ TEST_F(ServeEngineTest, SameTablePredicatesShareOneBatchAndOneScan) {
   AnswerFuture b = engine.AnswerSqlAsync(kTitleOld);
   util::Result<core::AnswerResult> ra = a.Get();
   util::Result<core::AnswerResult> rb = b.Get();
+  config.answerable_threshold = saved_threshold;
   ASSERT_TRUE(ra.ok()) << ra.status().ToString();
   ASSERT_TRUE(rb.ok()) << rb.status().ToString();
   ServeEngine::Stats stats = engine.stats();
