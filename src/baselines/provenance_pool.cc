@@ -4,6 +4,7 @@
 #include <map>
 
 #include "exec/executor.h"
+#include "metric/score.h"
 #include "sql/binder.h"
 
 namespace asqp {
@@ -24,18 +25,18 @@ util::Result<ProvenancePool> CollectProvenance(
 
   for (size_t q = 0; q < spj.size(); ++q) {
     pool.weights[q] = spj.query(q).weight;
-    sql::SelectStatement stmt = spj.query(q).stmt.Clone();
-    stmt.limit = -1;
-    stmt.order_by.clear();
+    const sql::SelectStatement& stmt = spj.query(q).stmt;
+    auto full_rows = metric::ResultRows(engine, stmt, view);
+    if (!full_rows.ok()) continue;
     auto bound = sql::Bind(stmt, db);
     if (!bound.ok()) continue;
+    // Every joined tuple is a combo: provenance ignores LIMIT and ORDER BY,
+    // which only pick the tuples a result shows.
     auto prov = engine.ExecuteWithProvenance(bound.value(), view, 0);
     if (!prov.ok()) continue;
-
-    const size_t full_size = prov.value().tuples.size();
-    pool.targets[q] = static_cast<double>(std::max<size_t>(
-        1, std::min<size_t>(full_size == 0 ? 1 : full_size,
-                            static_cast<size_t>(frame_size))));
+    pool.targets[q] =
+        static_cast<double>(metric::FrameTarget(full_rows.value(), frame_size));
+    const size_t joined = prov.value().tuples.size();
 
     std::vector<uint32_t> ids(prov.value().table_names.size());
     for (size_t t = 0; t < ids.size(); ++t) {
@@ -46,8 +47,8 @@ util::Result<ProvenancePool> CollectProvenance(
       ids[t] = it->second;
     }
     const size_t keep = max_combos_per_query == 0
-                            ? full_size
-                            : std::min(full_size, max_combos_per_query);
+                            ? joined
+                            : std::min(joined, max_combos_per_query);
     pool.combos[q].reserve(keep);
     for (size_t i = 0; i < keep; ++i) {
       Combo combo;

@@ -24,7 +24,7 @@ struct ProvenancePool {
 
   /// combos[q] = result combos of workload query q (possibly capped).
   std::vector<std::vector<Combo>> combos;
-  /// min(F, |q(T)|) per query (uncapped result size), >= 1.
+  /// Eq. 1 frame target per query (metric::FrameTarget of |q(T)|).
   std::vector<double> targets;
   std::vector<double> weights;
 

@@ -76,55 +76,8 @@ struct AsqpConfig {
   /// (the default — callers opt in to parallel answering explicitly).
   /// Results are identical across thread counts.
   size_t exec_threads = 1;
-  /// Rows per execution morsel (see exec::ExecOptions::morsel_rows). The
-  /// morsel decomposition is part of the deterministic plan: aggregation
-  /// folds per-morsel partials in morsel order even sequentially, so this
-  /// knob — unlike exec_threads — can affect the last ulp of a
-  /// floating-point SUM/AVG. 0 = engine default (16384).
-  size_t exec_morsel_rows = 0;
-  /// Run the cost-based planner (src/plan) on the mediator's executions:
-  /// filter pushdown, constant folding, and cost-ordered joins driven by
-  /// column statistics collected at model construction. Results are
-  /// byte-identical either way (see exec::ExecOptions::enable_planner);
-  /// off is for A/B comparison.
-  bool planner = true;
-  /// Build ordered secondary indexes (storage::IndexCatalog) over every
-  /// column of the approximation set at MaterializeSet / FineTune, stamped
-  /// with the model generation. The set is bounded by k tuples and rebuilt
-  /// only on fine-tune, so exhaustive indexing is nearly free; the
-  /// planner's access-path rule picks per-query whether an index range
-  /// scan beats the full scan. Results are byte-identical either way. Has
-  /// no effect when `planner` is false (access paths are a planner rule).
-  bool index_auto = true;
-  /// Explicit index spec: comma-separated "table.column" pairs (column by
-  /// name) overriding index_auto's every-column default. An unparsable or
-  /// unresolvable spec degrades to no indexes (full scans), never to an
-  /// error — index presence must not gate answering.
-  std::string index_columns;
-
-  // ---- Serving (serve::ServeEngine).
-  /// Concurrent Answer() calls admitted into execution at once; further
-  /// sessions queue FIFO behind them (see serve_queue_capacity). Bounds
-  /// how many queries share the process-wide execution pool.
-  size_t serve_max_inflight = 4;
-  /// Sessions allowed to queue for admission once serve_max_inflight
-  /// queries are executing; arrivals beyond this are rejected immediately
-  /// with kResourceExhausted (back-pressure, not unbounded queueing).
-  size_t serve_queue_capacity = 16;
-  /// Worker threads in the serving layer's shared execution pool (total
-  /// morsel concurrency = workers + the calling session's thread). 0 =
-  /// derive from exec_threads.
-  size_t serve_pool_threads = 0;
-  /// Byte budget for the fingerprint-keyed answer cache (LRU within the
-  /// budget; 0 disables caching).
-  size_t cache_bytes = 64ull << 20;
 
   // ---- Degradation ladder (aqp::LearnedFallback + AsqpModel::Answer).
-  /// Fit an ML-AQP-style learned answerer over the approximation set at
-  /// model-build / fine-tune time, and use it as the tier between the
-  /// approximation set and the full database when the full-database
-  /// fallback is unaffordable (deadline budget, tripped breaker).
-  bool fallback_learned_enabled = true;
   /// Bounded retries of the approximation-set attempt on *transient*
   /// failures (resource exhaustion, injected faults, internal errors; never
   /// deadline/cancellation). 0 disables retrying.
@@ -144,21 +97,6 @@ struct AsqpConfig {
   /// deadline budget. 0 = no gate (always afford, matching the pre-ladder
   /// behavior of an unlimited degraded execution).
   double fallback_full_db_rows_per_second = 0.0;
-  /// Serving layer: when admission fails (queue full, deadline expired
-  /// while queued, cancelled while queued), answer supported aggregate
-  /// queries from the learned fallback instead of erroring (load
-  /// shedding). Unsupported queries keep the typed admission error.
-  bool serve_shed_to_learned = true;
-  /// Gather window for batched multi-query execution (milliseconds): a
-  /// queued query waits up to this long for peers touching the same
-  /// table set before its batch executes as one shared scan pass per
-  /// table. 0 means immediate single-ticket batches (a synchronous Answer
-  /// runs on the caller's thread when a slot is free and nothing is
-  /// queued). Results are byte-identical either way.
-  double serve_batch_window_ms = 0.0;
-  /// Upper bound on queries grouped into one batch; a group that fills up
-  /// executes immediately without waiting out the gather window.
-  size_t serve_batch_max_queries = 8;
 
   uint64_t seed = 1;
 

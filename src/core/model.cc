@@ -28,30 +28,19 @@ exec::ExecOptions ExecOptionsFor(
     std::shared_ptr<const plan::StatsCatalog> stats) {
   exec::ExecOptions options;
   options.num_threads = config.exec_threads;
-  if (config.exec_morsel_rows > 0) options.morsel_rows = config.exec_morsel_rows;
-  options.enable_planner = config.planner;
   options.planner_stats = std::move(stats);
   return options;
 }
 
-/// Resolve the configured index columns and build the catalog over `view`
-/// (the approximation-set scope). Returns null — full scans everywhere —
-/// when indexing is disabled or the explicit spec does not resolve:
-/// index presence must never gate answering.
+/// Index every column of the approximation set (`view`), stamped with
+/// `generation`; the planner's access-path rule picks per query whether a
+/// range scan beats the full scan.
 std::shared_ptr<const storage::IndexCatalog> BuildIndexCatalogFor(
-    const AsqpConfig& config, const storage::Database& db,
-    const storage::DatabaseView& view, uint64_t generation) {
-  std::vector<storage::IndexColumnSpec> specs;
-  if (!config.index_columns.empty()) {
-    auto parsed = storage::ParseIndexColumns(config.index_columns, db);
-    if (!parsed.ok()) return nullptr;
-    specs = std::move(parsed).value();
-  } else if (config.index_auto) {
-    specs = storage::AllIndexColumns(db);
-  }
-  if (specs.empty()) return nullptr;
+    const storage::Database& db, const storage::DatabaseView& view,
+    uint64_t generation) {
   return std::make_shared<const storage::IndexCatalog>(
-      storage::IndexCatalog::Build(view, specs, generation));
+      storage::IndexCatalog::Build(view, storage::AllIndexColumns(db),
+                                   generation));
 }
 
 util::CircuitBreaker::Options BreakerOptionsFor(const AsqpConfig& config) {
@@ -177,16 +166,14 @@ void AsqpModel::MaterializeSet() {
   // Refit the learned fallback tier over the fresh approximation set (a
   // stale synopsis would answer with the *previous* generation's bias).
   learned_.reset();
-  if (config_.fallback_learned_enabled) {
-    aqp::LearnedFallbackOptions options;
-    options.seed = config_.seed ^ 0x1ea51edfa11ULL;
-    util::Result<aqp::LearnedFallback> fitted =
-        aqp::LearnedFallback::Fit(*db_, set_, options);
-    // A failed fit degrades gracefully: the ladder simply skips tier 1.
-    if (fitted.ok()) {
-      learned_ = std::make_shared<const aqp::LearnedFallback>(
-          std::move(fitted).value());
-    }
+  aqp::LearnedFallbackOptions options;
+  options.seed = config_.seed ^ 0x1ea51edfa11ULL;
+  util::Result<aqp::LearnedFallback> fitted =
+      aqp::LearnedFallback::Fit(*db_, set_, options);
+  // A failed fit degrades gracefully: the ladder simply skips tier 1.
+  if (fitted.ok()) {
+    learned_ =
+        std::make_shared<const aqp::LearnedFallback>(std::move(fitted).value());
   }
   // Fresh set, fresh indexes: a stale catalog would binary-search ordinals
   // of the previous generation's subset. (FineTune re-stamps the catalog
@@ -196,7 +183,7 @@ void AsqpModel::MaterializeSet() {
 
 void AsqpModel::RebuildIndexes() {
   index_catalog_ = BuildIndexCatalogFor(
-      config_, *db_, storage::DatabaseView(db_, &set_), generation());
+      *db_, storage::DatabaseView(db_, &set_), generation());
   RebuildEngine();
 }
 
@@ -209,13 +196,20 @@ void AsqpModel::RebuildEngine() {
 
 void AsqpModel::CalibrateEstimator() {
   // Measure real per-representative coverage of the materialized set; the
-  // estimator interpolates these measurements for unseen queries.
+  // estimator interpolates these measurements for unseen queries. |q(T)|
+  // comes from pre-processing, so only the set side runs here; a
+  // representative that failed to bind or count scores 0.
   metric::ScoreEvaluator evaluator(
       db_, metric::ScoreOptions{.frame_size = config_.frame_size});
   for (size_t i = 0; i < preprocess_.representatives.size(); ++i) {
-    auto score =
-        evaluator.QueryScore(preprocess_.representatives.query(i).stmt, set_);
-    estimator_->SetCoverage(i, score.ok() ? score.value() : 0.0);
+    const std::optional<size_t>& full_rows = preprocess_.full_rows[i];
+    double coverage = 0.0;
+    if (full_rows.has_value()) {
+      auto score = evaluator.QueryScore(
+          preprocess_.representatives.query(i).stmt, *full_rows, set_);
+      if (score.ok()) coverage = score.value();
+    }
+    estimator_->SetCoverage(i, coverage);
   }
 }
 
@@ -439,20 +433,27 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
   storage::DatabaseView view(db_, &set_);
   const uint64_t gen = generation();
 
+  // Members the shared scan cannot serve are answered alone after it, by
+  // the individual path (AnswerPrepared: tier 0 with the solo retry
+  // policy, then the ladder), so their answers are exactly those of
+  // never having been batched. That is a member whose answerability is
+  // below the threshold (estimator-routed to the full database, while
+  // the shared scan is an approximation-set pass), every member when the
+  // shared pass itself fails, and a member whose own execution fails
+  // with a degradation-class error.
+  std::vector<size_t> solo;
+
   // Plan every answerable member once — through the fingerprint-keyed
   // reuse cache when the caller provides one (same canonical text =>
   // same bound structure => same deterministic plan) — and mark it for
-  // the shared scan. Below-threshold members are estimator-routed to the
-  // full database and execute individually: the shared scan is an
-  // approximation-set pass.
+  // the shared scan.
   std::vector<std::shared_ptr<const sql::BoundQuery>> planned(n);
   std::vector<util::ExecContext> approx(n);
   std::vector<size_t> batched;
   for (size_t i = 0; i < n; ++i) {
     if (results[i].has_value() || !prepared[i].has_value()) continue;
     if (prepared[i]->answerability < config_.answerable_threshold) {
-      results[i] = AnswerPrepared(*prepared[i], queries[i].context);
-      ++stats.solo;
+      solo.push_back(i);
       continue;
     }
     std::shared_ptr<const sql::BoundQuery> plan;
@@ -526,11 +527,8 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
 
   for (size_t i : batched) {
     if (!scan_status.ok()) {
-      // The shared pass itself failed (batch-wide deadline, injected scan
-      // fault): every member falls back to its individual path, which
-      // re-runs the full ladder under its own budget.
-      results[i] = AnswerPrepared(*prepared[i], queries[i].context);
-      ++stats.solo;
+      // Batch-wide deadline or injected scan fault.
+      solo.push_back(i);
       continue;
     }
     if (ASQP_FAULT_POINT("serve.batch")) {
@@ -564,13 +562,13 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
       results[i] = r.status();
       continue;
     }
-    // A degradation-class member failure (deadline, transient resource
-    // pressure) retries individually: AnswerPrepared re-runs tier 0 with
-    // the solo path's retry policy, then walks the ladder — identical
-    // semantics to never having been batched.
-    results[i] = AnswerPrepared(*prepared[i], queries[i].context);
-    ++stats.solo;
+    solo.push_back(i);  // deadline, transient resource pressure
   }
+
+  for (size_t i : solo) {
+    results[i] = AnswerPrepared(*prepared[i], queries[i].context);
+  }
+  stats.solo = solo.size();
 
   std::vector<util::Result<AnswerResult>> out;
   out.reserve(n);

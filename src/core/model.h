@@ -227,14 +227,14 @@ class AsqpModel {
   }
 
   /// The learned fallback answerer (null until MaterializeSet has run or
-  /// when fallback_learned_enabled is false).
+  /// when its fit failed).
   std::shared_ptr<const aqp::LearnedFallback> learned_fallback() const {
     return learned_;
   }
 
   /// Ordered secondary indexes over the current approximation set, stamped
-  /// with the generation they serve (null until MaterializeSet has run or
-  /// when indexing is disabled). FineTune swaps in a freshly built catalog
+  /// with the generation they serve (null until MaterializeSet has run).
+  /// FineTune swaps in a freshly built catalog
   /// stamped with the bumped generation — reader threads holding the old
   /// shared_ptr keep a consistent (db, set, indexes) snapshot.
   std::shared_ptr<const storage::IndexCatalog> index_catalog() const {

@@ -7,6 +7,7 @@
 #include "cluster/kmeans.h"
 #include "exec/evaluator.h"
 #include "exec/executor.h"
+#include "metric/score.h"
 #include "relax/relax.h"
 #include "sample/sampler.h"
 #include "workloadgen/generator.h"
@@ -143,9 +144,6 @@ Result<PreprocessResult> Preprocess(const storage::Database& db,
   // morsel-parallel when the configuration opts in (config.exec_threads).
   exec::ExecOptions exec_options;
   exec_options.num_threads = config.exec_threads;
-  if (config.exec_morsel_rows > 0) {
-    exec_options.morsel_rows = config.exec_morsel_rows;
-  }
   exec::QueryEngine engine(exec_options);
   storage::DatabaseView full_view(&db);
 
@@ -181,12 +179,18 @@ Result<PreprocessResult> Preprocess(const storage::Database& db,
   }
 
   // Bind the ORIGINAL representative statements (incidence + targets are
-  // measured against what the user actually asked, not the relaxation).
+  // measured against what the user actually asked, not the relaxation),
+  // and count each one's |q(T)| once: the frame targets below and the
+  // model's estimator calibration both read these counts.
   std::vector<sql::BoundQuery> bound_reps;
   std::vector<size_t> rep_of_bound;  // representative index per bound entry
+  result.full_rows.resize(result.representatives.size());
   for (size_t c = 0; c < result.representatives.size(); ++c) {
-    auto bound = sql::Bind(result.representatives.query(c).stmt, db);
+    const sql::SelectStatement& stmt = result.representatives.query(c).stmt;
+    auto bound = sql::Bind(stmt, db);
     if (!bound.ok()) continue;
+    auto rows = metric::ResultRows(engine, stmt, full_view);
+    if (rows.ok()) result.full_rows[c] = rows.value();
     bound_reps.push_back(std::move(bound).value());
     rep_of_bound.push_back(c);
   }
@@ -205,26 +209,16 @@ Result<PreprocessResult> Preprocess(const storage::Database& db,
     }
   }
 
-  // Targets min(F, |q(T)|) and weights (needed for the quota below).
+  // Eq. 1 frame targets (a representative that failed to count gets 1)
+  // and weights (needed for the quota below).
   std::vector<float> query_target(num_queries);
   std::vector<float> query_weight(num_queries);
   for (size_t qi = 0; qi < num_queries; ++qi) {
-    sql::SelectStatement counting =
-        result.representatives.query(rep_of_bound[qi]).stmt.Clone();
-    counting.limit = -1;
-    counting.order_by.clear();
-    auto bound = sql::Bind(counting, db);
-    size_t full_size = 0;
-    if (bound.ok()) {
-      auto prov = engine.ExecuteWithProvenance(bound.value(), full_view, 0);
-      if (prov.ok()) full_size = prov.value().tuples.size();
-    }
-    const size_t target =
-        std::max<size_t>(1, std::min<size_t>(full_size == 0 ? 1 : full_size,
-                                             static_cast<size_t>(config.frame_size)));
-    query_target[qi] = static_cast<float>(target);
+    const size_t c = rep_of_bound[qi];
+    query_target[qi] = static_cast<float>(metric::FrameTarget(
+        result.full_rows[c].value_or(0), config.frame_size));
     query_weight[qi] =
-        static_cast<float>(result.representatives.query(rep_of_bound[qi]).weight);
+        static_cast<float>(result.representatives.query(c).weight);
   }
 
   // ---- 4a: pool selection. Subsampling must not starve any query of the

@@ -16,6 +16,7 @@
 // expression evaluator on the original, un-relaxed statement).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/config.h"
@@ -36,6 +37,12 @@ struct PreprocessResult {
   metric::Workload representatives;
   /// Embedding of every representative (for the answerability estimator).
   std::vector<embed::Vector> representative_embeddings;
+  /// |q(T)| of every representative over the full database
+  /// (metric::ResultRows), aligned with `representatives`; empty when the
+  /// statement could not be bound or executed. The frame targets in
+  /// `space` and the estimator's calibrated coverage both derive from it,
+  /// so each representative runs on the full database once per set-up.
+  std::vector<std::optional<size_t>> full_rows;
   /// Pool statistics for reporting.
   size_t joined_tuples_collected = 0;
   size_t representatives_executed = 0;

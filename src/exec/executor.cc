@@ -705,6 +705,22 @@ class Execution {
     return Project();
   }
 
+  /// Run()'s row count. Without DISTINCT or aggregates each joined tuple
+  /// projects to one row, so the count is the joined tuples capped by
+  /// LIMIT, with no sort and no projection; otherwise the statement runs
+  /// whole.
+  Result<size_t> Count() {
+    if (q_.stmt.distinct || q_.stmt.HasAggregates()) {
+      ASQP_ASSIGN_OR_RETURN(ResultSet rs, Run());
+      return rs.num_rows();
+    }
+    ASQP_RETURN_NOT_OK(FilterScans());
+    ASQP_RETURN_NOT_OK(Join());
+    const size_t n = joined_.size();
+    if (q_.stmt.limit < 0) return n;
+    return std::min(n, static_cast<size_t>(q_.stmt.limit));
+  }
+
   Result<ProvenancedJoin> RunWithProvenance(size_t max_tuples) {
     ASQP_RETURN_NOT_OK(FilterScans());
     ASQP_RETURN_NOT_OK(Join());
@@ -1771,6 +1787,36 @@ class Execution {
   std::vector<size_t> attach_order_;
 };
 
+/// The index catalog an execution against `view` may read: the engine's
+/// catalog only when its scope is exactly that view, so a full-database
+/// execution through an engine carrying approximation-set indexes never
+/// reads subset ordinals.
+const storage::IndexCatalog* CatalogFor(const ExecOptions& options,
+                                        const DatabaseView& view) {
+  return options.index_catalog != nullptr &&
+                 options.index_catalog->CoversView(view)
+             ? options.index_catalog.get()
+             : nullptr;
+}
+
+/// Plan `query` for `view` as Execute() does (planner on: statistics and
+/// the view's catalog; off: the query as bound) and hand the execution to
+/// `run`.
+template <typename Run>
+auto RunPlanned(const ExecOptions& options, util::ThreadPool* pool,
+                const BoundQuery& query, const DatabaseView& view,
+                const util::ExecContext& context, Run run) {
+  const storage::IndexCatalog* indexes = CatalogFor(options, view);
+  if (options.enable_planner) {
+    const BoundQuery planned = plan::PlanQuery(
+        query, options.planner_stats.get(), /*summary=*/nullptr, indexes);
+    Execution exec(planned, view, options, context, pool, indexes);
+    return run(exec);
+  }
+  Execution exec(query, view, options, context, pool, indexes);
+  return run(exec);
+}
+
 }  // namespace
 
 QueryEngine::QueryEngine(ExecOptions options) : options_(options) {
@@ -1790,49 +1836,30 @@ QueryEngine::QueryEngine(ExecOptions options) : options_(options) {
 Result<ResultSet> QueryEngine::Execute(const BoundQuery& query,
                                        const DatabaseView& view,
                                        const util::ExecContext& context) const {
-  // The index catalog only participates when its scope is exactly the view
-  // being executed: a full-database execution through an engine carrying
-  // approximation-set indexes must not read subset ordinals.
-  const storage::IndexCatalog* indexes =
-      options_.index_catalog != nullptr &&
-              options_.index_catalog->CoversView(view)
-          ? options_.index_catalog.get()
-          : nullptr;
-  if (options_.enable_planner) {
-    const BoundQuery planned = plan::PlanQuery(
-        query, options_.planner_stats.get(), /*summary=*/nullptr, indexes);
-    Execution exec(planned, view, options_, context, pool_.get(), indexes);
-    return exec.Run();
-  }
-  Execution exec(query, view, options_, context, pool_.get(), indexes);
-  return exec.Run();
+  return RunPlanned(options_, pool_.get(), query, view, context,
+                    [](Execution& exec) { return exec.Run(); });
+}
+
+Result<size_t> QueryEngine::CountRows(const BoundQuery& query,
+                                      const DatabaseView& view,
+                                      const util::ExecContext& context) const {
+  return RunPlanned(options_, pool_.get(), query, view, context,
+                    [](Execution& exec) { return exec.Count(); });
 }
 
 sql::BoundQuery QueryEngine::PlanForView(const BoundQuery& query,
                                          const DatabaseView& view) const {
   if (!options_.enable_planner) return query;
-  // Same coverage rule as Execute(): the catalog participates only when
-  // its scope is exactly the view the plan will run against.
-  const storage::IndexCatalog* indexes =
-      options_.index_catalog != nullptr &&
-              options_.index_catalog->CoversView(view)
-          ? options_.index_catalog.get()
-          : nullptr;
   return plan::PlanQuery(query, options_.planner_stats.get(),
-                         /*summary=*/nullptr, indexes);
+                         /*summary=*/nullptr, CatalogFor(options_, view));
 }
 
 Result<ResultSet> QueryEngine::ExecutePlanned(
     const BoundQuery& planned, const DatabaseView& view,
     const std::vector<ScanSelection>& selections,
     const util::ExecContext& context) const {
-  const storage::IndexCatalog* indexes =
-      options_.index_catalog != nullptr &&
-              options_.index_catalog->CoversView(view)
-          ? options_.index_catalog.get()
-          : nullptr;
-  Execution exec(planned, view, options_, context, pool_.get(), indexes,
-                 &selections);
+  Execution exec(planned, view, options_, context, pool_.get(),
+                 CatalogFor(options_, view), &selections);
   return exec.Run();
 }
 

@@ -159,6 +159,15 @@ class QueryEngine {
       const sql::BoundQuery& query, const storage::DatabaseView& view,
       const util::ExecContext& context = util::ExecContext()) const;
 
+  /// Execute(query, view, context).num_rows() without materialising the
+  /// rows: planned as Execute() plans, the same filtered scans and joins,
+  /// then the joined-tuple count capped by LIMIT, skipping the canonical
+  /// tuple sort and the projection. Statements with DISTINCT or
+  /// aggregates run whole, because their row count is decided there.
+  [[nodiscard]] util::Result<size_t> CountRows(
+      const sql::BoundQuery& query, const storage::DatabaseView& view,
+      const util::ExecContext& context = util::ExecContext()) const;
+
   /// Parse, bind, and execute `sql` against `view`'s database.
   [[nodiscard]] util::Result<ResultSet> ExecuteSql(
       const std::string& sql, const storage::DatabaseView& view,

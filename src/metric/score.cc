@@ -7,16 +7,32 @@
 namespace asqp {
 namespace metric {
 
+size_t FrameTarget(size_t full_rows, int frame_size) {
+  return std::max<size_t>(
+      1, std::min<size_t>(full_rows, static_cast<size_t>(frame_size)));
+}
+
+double Coverage(size_t subset_rows, size_t full_rows, int frame_size) {
+  if (full_rows == 0) return 1.0;
+  const size_t target = FrameTarget(full_rows, frame_size);
+  return std::min(1.0, static_cast<double>(subset_rows) /
+                           static_cast<double>(target));
+}
+
+util::Result<size_t> ResultRows(const exec::QueryEngine& engine,
+                                const sql::SelectStatement& stmt,
+                                const storage::DatabaseView& view) {
+  ASQP_ASSIGN_OR_RETURN(sql::BoundQuery bound, sql::Bind(stmt, view.db()));
+  return engine.CountRows(bound, view);
+}
+
 util::Result<size_t> ScoreEvaluator::FullResultSize(
     const sql::SelectStatement& stmt) {
   const std::string key = stmt.ToSql();
   auto it = full_size_cache_.find(key);
   if (it != full_size_cache_.end()) return it->second;
-
-  ASQP_ASSIGN_OR_RETURN(sql::BoundQuery bound, sql::Bind(stmt, *db_));
-  storage::DatabaseView full_view(db_);
-  ASQP_ASSIGN_OR_RETURN(exec::ResultSet rs, engine_.Execute(bound, full_view));
-  const size_t size = rs.num_rows();
+  ASQP_ASSIGN_OR_RETURN(
+      size_t size, ResultRows(engine_, stmt, storage::DatabaseView(db_)));
   full_size_cache_.emplace(key, size);
   return size;
 }
@@ -24,16 +40,19 @@ util::Result<size_t> ScoreEvaluator::FullResultSize(
 util::Result<double> ScoreEvaluator::QueryScore(
     const sql::SelectStatement& stmt,
     const storage::ApproximationSet& subset) {
-  ASQP_ASSIGN_OR_RETURN(size_t full_size, FullResultSize(stmt));
-  if (full_size == 0) return 1.0;
+  ASQP_ASSIGN_OR_RETURN(size_t full_rows, FullResultSize(stmt));
+  return QueryScore(stmt, full_rows, subset);
+}
 
-  ASQP_ASSIGN_OR_RETURN(sql::BoundQuery bound, sql::Bind(stmt, *db_));
-  storage::DatabaseView sub_view(db_, &subset);
-  ASQP_ASSIGN_OR_RETURN(exec::ResultSet rs, engine_.Execute(bound, sub_view));
-
-  const double denom = static_cast<double>(
-      std::min<size_t>(static_cast<size_t>(options_.frame_size), full_size));
-  return std::min(1.0, static_cast<double>(rs.num_rows()) / denom);
+util::Result<double> ScoreEvaluator::QueryScore(
+    const sql::SelectStatement& stmt, size_t full_rows,
+    const storage::ApproximationSet& subset) {
+  // An empty full result is covered whatever the subset holds.
+  if (full_rows == 0) return Coverage(0, full_rows, options_.frame_size);
+  ASQP_ASSIGN_OR_RETURN(
+      size_t subset_rows,
+      ResultRows(engine_, stmt, storage::DatabaseView(db_, &subset)));
+  return Coverage(subset_rows, full_rows, options_.frame_size);
 }
 
 util::Result<double> ScoreEvaluator::Score(

@@ -14,23 +14,6 @@
 namespace asqp {
 namespace serve {
 
-ServeOptions ServeOptions::FromConfig(const core::AsqpConfig& config) {
-  ServeOptions options;
-  options.max_inflight = std::max<size_t>(1, config.serve_max_inflight);
-  options.queue_capacity = config.serve_queue_capacity;
-  options.pool_threads =
-      config.serve_pool_threads > 0
-          ? config.serve_pool_threads
-          : std::max<size_t>(1, config.exec_threads > 1
-                                    ? config.exec_threads - 1
-                                    : 1);
-  options.cache_bytes = config.cache_bytes;
-  options.shed_to_learned = config.serve_shed_to_learned;
-  options.batch_window_ms = config.serve_batch_window_ms;
-  options.batch_max_queries = config.serve_batch_max_queries;
-  return options;
-}
-
 ServeEngine::ServeEngine(core::AsqpModel* model, ServeOptions options)
     : model_(model),
       options_(options),

@@ -47,7 +47,6 @@
 #include <string>
 #include <vector>
 
-#include "core/config.h"
 #include "core/model.h"
 #include "plan/plan_reuse.h"
 #include "serve/answer_cache.h"
@@ -91,12 +90,6 @@ struct ServeOptions {
   /// No effect: every query is a scheduler ticket and AnswerAsync never
   /// blocks. Kept so existing callers that set it still compile.
   bool async = false;
-
-  /// Derive the serving knobs from a model's AsqpConfig
-  /// (serve_max_inflight, serve_queue_capacity, serve_pool_threads /
-  /// exec_threads, cache_bytes, serve_shed_to_learned,
-  /// serve_batch_window_ms, serve_batch_max_queries).
-  static ServeOptions FromConfig(const core::AsqpConfig& config);
 };
 
 class ServeEngine {

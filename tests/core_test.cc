@@ -157,6 +157,39 @@ TEST_F(CoreTest, EstimatorSeparatesSeenFromUnseen) {
   EXPECT_GT(seen, unseen);
 }
 
+/// Calibration reuses pre-processing's |q(T)| counts and runs only the
+/// set side; the estimator must still equal one rebuilt from scratch out
+/// of ScoreEvaluator::QueryScore coverages of the same representatives.
+TEST_F(CoreTest, CalibratedEstimatorMatchesScoreEvaluatorCoverage) {
+  util::Rng rng(17);
+  auto [train, held_out] = bundle_->workload.TrainTestSplit(0.7, &rng);
+  const AsqpConfig config = SmallConfig();
+  AsqpTrainer trainer(config);
+  ASSERT_OK_AND_ASSIGN(TrainReport report,
+                       trainer.Train(*bundle_->db, train));
+  const AsqpModel& model = *report.model;
+
+  const embed::QueryEmbedder embedder(config.embed_dim);
+  metric::ScoreEvaluator evaluator(
+      bundle_->db.get(),
+      metric::ScoreOptions{.frame_size = config.frame_size});
+  std::vector<embed::Vector> embeddings;
+  std::vector<double> coverage;
+  for (const metric::WeightedQuery& rep : model.representatives().queries()) {
+    embeddings.push_back(embedder.Embed(rep.stmt));
+    auto score = evaluator.QueryScore(rep.stmt, model.approximation_set());
+    coverage.push_back(score.ok() ? score.value() : 0.0);
+  }
+  const AnswerabilityEstimator rebuilt(embedder, std::move(embeddings),
+                                       std::move(coverage));
+  for (const metric::Workload* queries : {&train, &held_out}) {
+    for (const metric::WeightedQuery& q : queries->queries()) {
+      EXPECT_EQ(model.estimator().Estimate(q.stmt), rebuilt.Estimate(q.stmt))
+          << q.stmt.ToSql();
+    }
+  }
+}
+
 TEST_F(CoreTest, AnswerRoutesThroughMediator) {
   AsqpTrainer trainer(SmallConfig());
   ASSERT_OK_AND_ASSIGN(TrainReport report,

@@ -546,6 +546,85 @@ TEST(DifferentialExecTest, SeqVsParallelOnGeneratedQueries) {
   }
 }
 
+// ---- CountRows: Execute's row count without the rows. ----
+
+/// A seeded third of every table's rows: the approximation-set view the
+/// CountRows leg counts over besides the full database.
+storage::ApproximationSet SampleSubset(const storage::Database& db,
+                                       util::Rng* rng) {
+  storage::ApproximationSet subset;
+  for (const std::string& name : db.TableNames()) {
+    auto table = db.GetTable(name);
+    EXPECT_TRUE(table.ok()) << name;
+    if (!table.ok()) continue;
+    for (size_t r = 0; r < table.value()->num_rows(); ++r) {
+      if (rng->Bernoulli(0.35)) subset.Add(name, static_cast<uint32_t>(r));
+    }
+  }
+  subset.Seal();
+  return subset;
+}
+
+// Every fuzzer query, and a variant with its LIMIT toggled (added when
+// absent, LIMIT 0 included; dropped when present), must count exactly
+// Execute().num_rows() of the planner-off sequential reference — over the
+// full database and over an approximation-set view, at 1/2/4/8 threads,
+// planner off and on — and fail with the same Status code where Execute
+// fails.
+TEST(DifferentialExecTest, CountRowsMatchesExecuteRowCount) {
+  const uint64_t seed = SeedFromEnv();
+  const QueryEngine seq = MakeEngine(1, /*planner=*/false);
+  for (const FuzzDataset& dataset : MakeDatasets()) {
+    auto stats = std::make_shared<const plan::StatsCatalog>(
+        plan::StatsCatalog::Collect(*dataset.db));
+    std::vector<QueryEngine> engines;
+    for (const size_t threads : {1, 2, 4, 8}) {
+      engines.push_back(MakeEngine(threads, /*planner=*/false));
+      engines.push_back(MakeEngine(threads, /*planner=*/true, stats));
+    }
+    util::Rng rng(seed ^ util::Fnv1a(dataset.name + "/count"));
+    const storage::ApproximationSet subset = SampleSubset(*dataset.db, &rng);
+    const storage::DatabaseView full(dataset.db.get());
+    const storage::DatabaseView approx(dataset.db.get(), &subset);
+    QueryFuzzer fuzzer(dataset, &rng);
+    for (size_t i = 0; i < kQueriesPerDataset; ++i) {
+      const sql::SelectStatement stmt = fuzzer.Generate();
+      sql::SelectStatement toggled = stmt.Clone();
+      toggled.limit = stmt.limit >= 0 ? -1 : rng.UniformInt(0, 5);
+      const sql::SelectStatement* variants[] = {&stmt, &toggled};
+      for (const sql::SelectStatement* variant : variants) {
+        auto bound = sql::Bind(*variant, *dataset.db);
+        ASSERT_TRUE(bound.ok()) << variant->ToSql();
+        for (const storage::DatabaseView* view : {&full, &approx}) {
+          const std::string label =
+              dataset.name + " query " + std::to_string(i) + " (seed " +
+              std::to_string(seed) + ", " +
+              (view == &full ? "full" : "approximation set") +
+              "): " + variant->ToSql();
+          auto expected = seq.Execute(bound.value(), *view);
+          for (const QueryEngine& engine : engines) {
+            const std::string engine_label =
+                label + " @" + std::to_string(engine.options().num_threads) +
+                " threads planner-" +
+                (engine.options().enable_planner ? "on" : "off");
+            auto count = engine.CountRows(bound.value(), *view);
+            ASSERT_EQ(expected.ok(), count.ok())
+                << engine_label << ": execute=" << expected.status().ToString()
+                << " count=" << count.status().ToString();
+            if (!expected.ok()) {
+              ASSERT_EQ(expected.status().code(), count.status().code())
+                  << engine_label;
+              continue;
+            }
+            ASSERT_EQ(expected.value().num_rows(), count.value())
+                << engine_label;
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---- Deadline / cancellation / fault injection mid-operator. ----
 
 std::shared_ptr<storage::Database> SkewedDb() { return MakeSkewed().db; }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "baselines/provenance_pool.h"
+#include "core/config.h"
+#include "core/preprocess.h"
 #include "metric/diversity.h"
 #include "metric/relative_error.h"
 #include "metric/score.h"
@@ -202,6 +205,52 @@ TEST_F(ScoreTest, JoinQueryNeedsBothSides) {
   ScoreEvaluator eval(db_.get());
   ASSERT_OK_AND_ASSIGN(double score, eval.Score(w, subset));
   EXPECT_DOUBLE_EQ(score, 0.0);
+}
+
+TEST(FrameTargetTest, CapsAtFrameAndNeverFallsBelowOne) {
+  EXPECT_EQ(FrameTarget(0, 50), 1u);
+  EXPECT_EQ(FrameTarget(3, 50), 3u);
+  EXPECT_EQ(FrameTarget(80, 50), 50u);
+  EXPECT_DOUBLE_EQ(Coverage(0, 0, 50), 1.0);  // nothing to cover
+  EXPECT_DOUBLE_EQ(Coverage(1, 4, 50), 0.25);
+  EXPECT_DOUBLE_EQ(Coverage(60, 80, 50), 1.0);
+}
+
+TEST_F(ScoreTest, LimitBoundsTheFullResult) {
+  // |q(T)| is what the statement returns as written: LIMIT 3 of 8 movies.
+  storage::ApproximationSet subset;
+  subset.Add("movies", 0);
+  subset.Seal();
+  ASSERT_OK_AND_ASSIGN(auto stmt, sql::Parse("SELECT * FROM movies LIMIT 3"));
+  ScoreEvaluator eval(db_.get(), ScoreOptions{.frame_size = 50});
+  ASSERT_OK_AND_ASSIGN(size_t full_rows, eval.FullResultSize(stmt));
+  EXPECT_EQ(full_rows, 3u);
+  ASSERT_OK_AND_ASSIGN(double score, eval.QueryScore(stmt, subset));
+  EXPECT_DOUBLE_EQ(score, 1.0 / 3.0);
+}
+
+/// Pre-processing and the provenance baselines take their frame targets
+/// from metric::FrameTarget over the statement as written, so a LIMIT
+/// caps the target exactly as it caps Eq. 1's denominator.
+TEST_F(ScoreTest, LimitedRepresentativeTargetIsCappedByItsLimit) {
+  ASSERT_OK_AND_ASSIGN(Workload w,
+                       Workload::FromSql({"SELECT * FROM movies LIMIT 3"}));
+  core::AsqpConfig config;
+  config.frame_size = 50;
+  config.num_representatives = 1;
+  config.exploration_queries = 0;
+  ASSERT_OK_AND_ASSIGN(core::PreprocessResult pre,
+                       core::Preprocess(*db_, w, config));
+  ASSERT_EQ(pre.space.num_queries, 1u);
+  EXPECT_EQ(pre.space.query_target[0], 3.0f);
+  ASSERT_EQ(pre.full_rows.size(), 1u);
+  EXPECT_EQ(pre.full_rows[0], std::optional<size_t>(3));
+
+  ASSERT_OK_AND_ASSIGN(baselines::ProvenancePool pool,
+                       baselines::CollectProvenance(*db_, w, 50, 0));
+  ASSERT_EQ(pool.targets.size(), 1u);
+  EXPECT_EQ(pool.targets[0], 3.0);
+  EXPECT_EQ(pool.combos[0].size(), 8u);  // combos ignore the LIMIT
 }
 
 TEST(DiversityTest, IdenticalRowsZeroDistance) {

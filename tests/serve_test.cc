@@ -599,34 +599,6 @@ TEST_F(ServeEngineTest, DeadOnArrivalRequestsNeverTakeAnAdmissionSlot) {
   EXPECT_EQ(engine.stats().admitted, 1u);
 }
 
-TEST_F(ServeEngineTest, FromConfigDerivesKnobs) {
-  core::AsqpConfig config;
-  config.serve_max_inflight = 3;
-  config.serve_queue_capacity = 5;
-  config.serve_pool_threads = 0;
-  config.exec_threads = 4;
-  config.cache_bytes = 1 << 20;
-  ServeOptions options = ServeOptions::FromConfig(config);
-  EXPECT_EQ(options.max_inflight, 3u);
-  EXPECT_EQ(options.queue_capacity, 5u);
-  EXPECT_EQ(options.pool_threads, 3u);  // exec_threads - 1
-  EXPECT_EQ(options.cache_bytes, size_t{1} << 20);
-  config.serve_pool_threads = 7;
-  EXPECT_EQ(ServeOptions::FromConfig(config).pool_threads, 7u);
-  EXPECT_TRUE(options.shed_to_learned);  // default on
-  config.serve_shed_to_learned = false;
-  EXPECT_FALSE(ServeOptions::FromConfig(config).shed_to_learned);
-  // Batching/async knobs: off by default, carried through when set.
-  EXPECT_EQ(options.batch_window_ms, 0.0);
-  EXPECT_EQ(options.batch_max_queries, 8u);
-  EXPECT_FALSE(options.async);
-  config.serve_batch_window_ms = 2.5;
-  config.serve_batch_max_queries = 3;
-  ServeOptions batched = ServeOptions::FromConfig(config);
-  EXPECT_EQ(batched.batch_window_ms, 2.5);
-  EXPECT_EQ(batched.batch_max_queries, 3u);
-}
-
 // ---- Batched / async serving ------------------------------------------
 
 // Queries over one table with distinct predicates: the batch shares a
